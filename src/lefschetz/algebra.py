@@ -10,9 +10,8 @@ operators, with linear independence decided exactly through the contravariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .exact import ExactMatrix, LaurentCharacter, Weight, rank_and_kernel
 from .roots import RootDatum
@@ -479,9 +478,10 @@ def highest_weight_module(
         flat.extend(sorted(level))
     index = {w: i for i, w in enumerate(flat)}
     dim = len(flat)
-    assert dim == expected_dim, (
-        f"constructed dimension {dim} != Weyl dimension {expected_dim}"
-    )
+    if dim != expected_dim:
+        raise AssertionError(
+            f"constructed dimension {dim} != Weyl dimension {expected_dim}"
+        )
     weights = [calc.word_weight(w) for w in flat]
 
     def express(word: tuple[int, ...]) -> dict[int, Fraction]:

@@ -1,11 +1,12 @@
 """Chevalley-Eilenberg cohomology of the nilradical, graded by Cartan weight.
 
-Cochains C^q = V ⊗ ∧^q n* are indexed by (module basis index, q-subset of
-n-roots); the differential preserves the h-weight, so all rank computations
-happen blockwise per weight.  An independent prediction of the cohomology
-(minimal coset representatives acting on the shifted highest weight, with
-Levi weight multiplicities from Freudenthal's recursion) serves as an oracle,
-and homology is computed from chains V ⊗ ∧^p n for the duality check.
+Cochains C^q = V ⊗ ∧^q n* and chains C_p = V ⊗ ∧^p n come from one Koszul
+builder as sparse integer blocks per h-weight, which the maps preserve.
+d² = 0 is checked on every entry, and each block is ranked once, by
+fraction-free elimination, for both degrees it joins.  An independent
+prediction of the cohomology (minimal coset representatives acting on the
+shifted highest weight, with Levi weight multiplicities from Freudenthal's
+recursion) serves as an oracle; homology feeds the duality check.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
-from .exact import ExactMatrix, LaurentCharacter, Weight, rank_and_kernel
-from .roots import RootDatum, WeylElement
+from .exact import LaurentCharacter, SparseMatrix, Weight, flat
+from .roots import RootDatum
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,10 @@ def weight_multiplicities(datum: RootDatum, lam, levi=None) -> dict[Weight, int]
             if rhs == 0:
                 continue
             val = rhs / denom
-            assert val.denominator == 1 and val >= 0
+            if val.denominator != 1 or val < 0:
+                raise AssertionError(
+                    f"Freudenthal multiplicity {val} of {mu} is not a natural number"
+                )
             if val:
                 mult[mu] = int(val)
                 nxt.append(mu)
@@ -101,27 +106,80 @@ def irreducible_character(datum: RootDatum, lam, levi=None) -> LaurentCharacter:
 # The Chevalley-Eilenberg complex
 
 
+def _mask(subset: tuple[int, ...]) -> int:
+    return sum(1 << k for k in subset)
+
+
 class CEComplex:
-    """Cochain complex of V ⊗ ∧^q n*, stored blockwise per h-weight."""
+    """Koszul complex of V ⊗ ∧ n, stored as sparse integer blocks per h-weight.
+
+    Degree q has the labels (module index j, sorted q-subset S of n-root
+    indices).  As cochains (`step` = +1) a label has weight wt_j - Σ_S α and
+    d_q adds a root factor; as chains (`ChainComplex`, `step` = -1) it has
+    weight wt_j + Σ_S α and ∂_q removes one.  Between subsets small ⊂ big both
+    maps have the terms (-1)^pos(k, big) e_k for big = small ∪ {k}, and
+    (-1)^(pos(g, small) + pos(a, big) + pos(b, big)) N, negated for chains,
+    for small = R ∪ {g}, big = R ∪ {a, b} and [e_a, e_b] = N e_g.
+
+    `differentials[q]` maps degree q to degree q + step.  Its blocks are the
+    map times `scale`, the lcm of the denominators of the e_k: integral, and
+    with the ranks and zero composites of the map itself.
+    """
+
+    step = 1
 
     def __init__(self, split: ParabolicSplit, mod: WeightModule):
         self.split = split
         self.module = mod
         self.n_roots = list(split.n_roots)
-        self.top = len(self.n_roots)
+        self.top = top = len(self.n_roots)
+        dim = mod.dimension
         # bases[q]: weight -> list of (module index, sorted tuple of root indices)
         self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
-        for q in range(self.top + 1):
+        # label key mask * dim + j (mask: the subset as bits) -> the number of
+        # its weight block within its degree, and its position in that block
+        block = [0] * (dim << top)
+        position = [0] * (dim << top)
+        factor = [_neg(r) if self.step > 0 else r for r in self.n_roots]
+        shifts = {0: (0,) * len(mod.highest_weight)}  # mask -> weight of its factors
+        for q in range(top + 1):
             blocks: dict[Weight, list] = {}
-            for subset in combinations(range(self.top), q):
-                shift = (0,) * len(mod.highest_weight)
-                for k in subset:
-                    shift = _sub(shift, self.n_roots[k])
+            ids: dict[Weight, int] = {}
+            prev, shifts = shifts, {}  # the masks of degrees q - 1 and q
+            for subset in combinations(range(top), q):
+                mask = _mask(subset)
+                if subset:  # prev holds the subset without its first root
+                    shifts[mask] = _add(prev[mask & (mask - 1)], factor[subset[0]])
+                else:
+                    shifts[mask] = prev[0]
+                shift = shifts[mask]
                 for j, wt in enumerate(mod.basis_weights):
-                    blocks.setdefault(_add(wt, shift), []).append((j, subset))
+                    wt = _add(wt, shift)
+                    labels = blocks.setdefault(wt, [])
+                    block[mask * dim + j] = ids.setdefault(wt, len(ids))
+                    position[mask * dim + j] = len(labels)
+                    labels.append((j, subset))
             self.bases.append(blocks)
-        self.differentials: list[dict[Weight, ExactMatrix]] = [
-            self._differential(q) for q in range(self.top)
+        # each e_k read once, as sparse integer columns act[k][j] = [(j', entry)]
+        actions = [mod.action[("e", r)].entries for r in self.n_roots]
+        self.scale = lcm(*{c.denominator for entries in actions for c in entries})
+        act = [[[] for _ in range(dim)] for _ in actions]
+        for k, entries in enumerate(actions):
+            for idx, c in enumerate(entries):
+                if c:
+                    act[k][idx % dim].append((idx // dim, int(c * self.scale)))
+        # pairs[g]: (a, b, N) with a < b and [e_a, e_b] = N e_g, N != 0
+        sc = split.algebra.constants
+        n_index = {r: k for k, r in enumerate(self.n_roots)}
+        pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(top)]
+        for a, b in combinations(range(top), 2):
+            g = n_index.get(_add(self.n_roots[a], self.n_roots[b]))
+            nval = sc.n(self.n_roots[a], self.n_roots[b]) if g is not None else 0
+            if nval:
+                pairs[g].append((a, b, nval))
+        self.differentials: list[dict[Weight, SparseMatrix]] = [
+            self._differential(q, block, position, act, pairs)
+            for q in range(top + 1)
         ]
 
     def cochain_dimension(self, q: int) -> int:
@@ -129,64 +187,67 @@ class CEComplex:
             return 0
         return sum(len(v) for v in self.bases[q].values())
 
-    def _differential(self, q: int) -> dict[Weight, ExactMatrix]:
-        """Blocks of d_q : C^q -> C^{q+1}."""
-        mod = self.module
-        sc = self.split.algebra.constants
-        n_index = {r: k for k, r in enumerate(self.n_roots)}
-        src = self.bases[q]
-        dst = self.bases[q + 1]
-        dst_pos = {
-            wt: {lab: i for i, lab in enumerate(labels)} for wt, labels in dst.items()
-        }
-        out: dict[Weight, ExactMatrix] = {}
-        for wt, labels in src.items():
-            rows = sum(len(v) for k, v in dst.items() if k == wt)
-            mat = ExactMatrix(len(dst.get(wt, [])), len(labels))
-            pos = dst_pos.get(wt, {})
-            for col, (j, subset) in enumerate(labels):
-                # module-action part: insert a new root factor
-                for k in range(self.top):
-                    if k in subset:
+    def _differential(
+        self, q, block, position, act, pairs
+    ) -> dict[Weight, SparseMatrix]:
+        """Blocks of the map from degree q to degree q + step."""
+        s = min(q, q + self.step)  # the degree of the smaller subsets
+        if not 0 <= s < self.top:
+            return {}
+        dim = self.module.dimension
+        src_weights, dst_weights = list(self.bases[q]), list(self.bases[q + self.step])
+        cols = [[{} for _ in labels] for labels in self.bases[q].values()]
+
+        def add(small, big, j, jp, c):
+            src, dst = (small, big) if self.step > 0 else (big, small)
+            src, dst = src * dim + j, dst * dim + jp
+            if dst_weights[block[dst]] != src_weights[block[src]]:
+                raise AssertionError("the map does not preserve the weight")
+            entries = cols[block[src]][position[src]]
+            v = entries.pop(position[dst], 0) + c
+            if v:
+                entries[position[dst]] = v
+
+        def sign(k, mask):
+            return -1 if (mask & ((1 << k) - 1)).bit_count() & 1 else 1
+
+        for big in map(_mask, combinations(range(self.top), s + 1)):
+            for k in range(self.top):
+                if not big >> k & 1:
+                    continue
+                for j, col in enumerate(act[k]):
+                    for jp, c in col:
+                        add(big ^ (1 << k), big, j, jp, sign(k, big) * c)
+        for small in map(_mask, combinations(range(self.top), s)):
+            for g in range(self.top):
+                if not small >> g & 1:
+                    continue
+                rest = small ^ (1 << g)
+                for a, b, nval in pairs[g]:
+                    if rest & (1 << a | 1 << b):
                         continue
-                    new = tuple(sorted(subset + (k,)))
-                    sign = (-1) ** new.index(k)
-                    act = mod.action[("e", self.n_roots[k])]
-                    for jp in range(mod.dimension):
-                        c = act[jp, j]
-                        if c:
-                            mat[pos[(jp, new)], col] += sign * c
-                # bracket part: split one factor into a bracketing pair
-                for t, kg in enumerate(subset):
-                    gamma = self.n_roots[kg]
-                    rest = subset[:t] + subset[t + 1 :]
-                    sign_g = (-1) ** t
-                    for ka, kb in combinations(range(self.top), 2):
-                        if ka in rest or kb in rest:
-                            continue
-                        if _add(self.n_roots[ka], self.n_roots[kb]) != gamma:
-                            continue
-                        nval = sc.n(self.n_roots[ka], self.n_roots[kb])
-                        if nval == 0:
-                            continue
-                        new = tuple(sorted(rest + (ka, kb)))
-                        i_a = new.index(ka)
-                        i_b = new.index(kb)
-                        coeff = sign_g * ((-1) ** (i_a + i_b)) * nval
-                        mat[pos[(j, new)], col] += coeff
-            out[wt] = mat
-        return out
+                    big = rest | (1 << a) | (1 << b)
+                    c = sign(g, small) * sign(a, big) * sign(b, big) * nval
+                    for j in range(dim):
+                        add(small, big, j, j, c * self.step * self.scale)
+        return {
+            wt: SparseMatrix(len(self.bases[q + self.step].get(wt, ())), list(map(flat, c)))
+            for wt, c in zip(src_weights, cols)
+        }
 
     def verify_complex(self) -> bool:
-        """d_{q+1} ∘ d_q = 0 on every weight block."""
-        for q in range(self.top - 1):
-            for wt, d0 in self.differentials[q].items():
-                d1 = self.differentials[q + 1].get(wt)
-                if d1 is None or d1.cols == 0 or d0.cols == 0:
-                    continue
-                if not (d1 @ d0).is_zero():
+        """Every entry of each map composed with the next is exactly zero."""
+        for q, blocks in enumerate(self.differentials):
+            if not 0 <= q + self.step <= self.top:
+                continue
+            for wt, d0 in blocks.items():
+                d1 = self.differentials[q + self.step].get(wt)
+                if d1 is not None and not (d1 @ d0).is_zero():
                     return False
         return True
+
+    def table(self) -> CohomologyTable:
+        return cohomology_table(self)
 
 
 def build_ce_complex(split: ParabolicSplit, mod: WeightModule) -> CEComplex:
@@ -267,22 +328,16 @@ class CohomologyTable:
 
 
 def cohomology_table(cx: CEComplex) -> CohomologyTable:
+    """Dimensions dim C_q - rank(out of q) - rank(into q) per weight block;
+    every block is ranked once, and its rank serves both degrees it joins."""
+    ranks = [{wt: d.rank() for wt, d in blocks.items()} for blocks in cx.differentials]
     degrees: list[dict[Weight, int]] = []
-    for q in range(cx.top + 1):
+    for q, blocks in enumerate(cx.bases):
+        prev = q - cx.step
+        into = ranks[prev] if 0 <= prev <= cx.top else {}
         table: dict[Weight, int] = {}
-        for wt, labels in cx.bases[q].items():
-            dim_c = len(labels)
-            r_out = 0
-            if q < cx.top:
-                d = cx.differentials[q].get(wt)
-                if d is not None and d.cols:
-                    r_out, _ = rank_and_kernel(d)
-            r_in = 0
-            if q > 0:
-                d = cx.differentials[q - 1].get(wt)
-                if d is not None and d.cols:
-                    r_in, _ = rank_and_kernel(d)
-            h = dim_c - r_out - r_in
+        for wt, labels in blocks.items():
+            h = len(labels) - ranks[q].get(wt, 0) - into.get(wt, 0)
             if h:
                 table[wt] = h
         degrees.append(table)
@@ -320,99 +375,10 @@ def kostant_prediction(
 # Homology and duality
 
 
-class ChainComplex:
+class ChainComplex(CEComplex):
     """Chains V ⊗ ∧^p n with the Koszul boundary, blockwise per h-weight."""
 
-    def __init__(self, split: ParabolicSplit, mod: WeightModule):
-        self.split = split
-        self.module = mod
-        self.n_roots = list(split.n_roots)
-        self.top = len(self.n_roots)
-        self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
-        for p in range(self.top + 1):
-            blocks: dict[Weight, list] = {}
-            for subset in combinations(range(self.top), p):
-                shift = (0,) * len(mod.highest_weight)
-                for k in subset:
-                    shift = _add(shift, self.n_roots[k])
-                for j, wt in enumerate(mod.basis_weights):
-                    blocks.setdefault(_add(wt, shift), []).append((j, subset))
-            self.bases.append(blocks)
-        self.boundaries: list[dict[Weight, ExactMatrix]] = [
-            self._boundary(p) for p in range(1, self.top + 1)
-        ]
-
-    def _boundary(self, p: int) -> dict[Weight, ExactMatrix]:
-        """Blocks of ∂_p : C_p -> C_{p-1}."""
-        mod = self.module
-        sc = self.split.algebra.constants
-        src = self.bases[p]
-        dst = self.bases[p - 1]
-        dst_pos = {
-            wt: {lab: i for i, lab in enumerate(labels)} for wt, labels in dst.items()
-        }
-        out: dict[Weight, ExactMatrix] = {}
-        for wt, labels in src.items():
-            mat = ExactMatrix(len(dst.get(wt, [])), len(labels))
-            pos = dst_pos.get(wt, {})
-            for col, (j, subset) in enumerate(labels):
-                for t, k in enumerate(subset):
-                    rest = subset[:t] + subset[t + 1 :]
-                    sign = (-1) ** t
-                    act = mod.action[("e", self.n_roots[k])]
-                    for jp in range(mod.dimension):
-                        c = act[jp, j]
-                        if c:
-                            mat[pos[(jp, rest)], col] += sign * c
-                for t, u in combinations(range(p), 2):
-                    ka, kb = subset[t], subset[u]
-                    gamma = _add(self.n_roots[ka], self.n_roots[kb])
-                    if gamma not in sc.index:
-                        continue
-                    kg = self.n_roots.index(gamma)
-                    rest = tuple(x for x in subset if x not in (ka, kb))
-                    if kg in rest:
-                        continue
-                    nval = sc.n(self.n_roots[ka], self.n_roots[kb])
-                    if nval == 0:
-                        continue
-                    new = tuple(sorted(rest + (kg,)))
-                    coeff = -((-1) ** (t + u)) * ((-1) ** new.index(kg)) * nval
-                    mat[pos[(j, new)], col] += coeff
-            out[wt] = mat
-        return out
-
-    def verify_complex(self) -> bool:
-        for p in range(2, self.top + 1):
-            for wt, dp in self.boundaries[p - 1].items():
-                dpm = self.boundaries[p - 2].get(wt)
-                if dpm is None or dp.cols == 0:
-                    continue
-                if not (dpm @ dp).is_zero():
-                    return False
-        return True
-
-    def table(self) -> CohomologyTable:
-        degrees: list[dict[Weight, int]] = []
-        for p in range(self.top + 1):
-            table: dict[Weight, int] = {}
-            for wt, labels in self.bases[p].items():
-                dim_c = len(labels)
-                r_in = 0
-                if p < self.top:
-                    d = self.boundaries[p].get(wt)
-                    if d is not None and d.cols:
-                        r_in, _ = rank_and_kernel(d)
-                r_out = 0
-                if p > 0:
-                    d = self.boundaries[p - 1].get(wt)
-                    if d is not None and d.cols:
-                        r_out, _ = rank_and_kernel(d)
-                h = dim_c - r_in - r_out
-                if h:
-                    table[wt] = h
-            degrees.append(table)
-        return CohomologyTable(self.split, degrees)
+    step = -1
 
 
 def homology_table(
@@ -421,7 +387,8 @@ def homology_table(
     """Homology dimensions plus the duality flag: the graded character of H_p
     must equal that of H^{top-p} shifted by the ∧^top n weight."""
     chains = ChainComplex(split, mod)
-    assert chains.verify_complex(), "boundary does not square to zero"
+    if not chains.verify_complex():
+        raise AssertionError("boundary does not square to zero")
     hom = chains.table()
     coh = cohomology_table(build_ce_complex(split, mod))
     top_weight = (0,) * split.datum.rank

@@ -1,8 +1,10 @@
 """Exact scalars, Laurent characters on lattice tori, and exact linear algebra.
 
-Everything here is rational-exact: scalars are `fractions.Fraction`, matrix
-rank/kernel computations use fraction-free (Bareiss) elimination on integer
-rows, and characters are finite integer-weighted multisets of lattice points.
+Everything here is rational-exact: scalars are `fractions.Fraction`, and
+characters are finite integer-weighted multisets of lattice points.  Dense
+(`ExactMatrix`) and sparse (`SparseMatrix`) matrices are ranked by one
+fraction-free elimination, `echelon`, on sparse rows cleared of denominators;
+no tolerance, modulus or random choice enters.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -93,9 +96,6 @@ class LaurentCharacter:
                 g = gcd(g, c)
             if g == 1:
                 return self
-        if g == self.scale:
-            # all keys divisible by scale
-            pass
         return LaurentCharacter(
             self.rank,
             {tuple(c // g for c in w): m for w, m in self.terms.items()},
@@ -376,73 +376,117 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: ExactMatrix, col_order: Sequence[int]) -> list[list[int]]:
-    """Rows of m with columns permuted, cleared to integers per row."""
-    out = []
-    for i in range(m.rows):
-        row = [m[i, j] for j in col_order]
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        out.append([int(x * d) for x in row])
-    return out
+class SparseMatrix:
+    """Exact sparse matrix: `columns[j]` is the flat tuple (row, entry, row,
+    entry, ...) of the nonzero int or Fraction entries of column j; flat
+    tuples keep thousands of short columns small."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, columns: list[tuple]):
+        self.rows = rows
+        self.cols = len(columns)
+        self.columns = columns
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in product")
+        out = []
+        for col in other.columns:
+            acc: dict[int, Fraction | int] = {}
+            for k, a in pairs(col):
+                for i, b in pairs(self.columns[k]):
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append(flat({i: v for i, v in acc.items() if v}))
+        return SparseMatrix(self.rows, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def rank(self) -> int:
+        """Rank over Q, as the rank of the transpose: the columns are
+        eliminated as sparse rows."""
+        return len(echelon(pairs(col) for col in self.columns))
+
+
+def pairs(column: tuple) -> Iterable[tuple[int, Fraction | int]]:
+    """The (row, entry) pairs of a flat column tuple."""
+    it = iter(column)
+    return zip(it, it)
+
+
+def flat(entries: Mapping[int, Fraction | int]) -> tuple:
+    """The flat column tuple of a row -> nonzero entry mapping."""
+    return tuple(chain.from_iterable(entries.items()))
+
+
+def echelon(
+    rows: Iterable[Iterable[tuple[int, Fraction | int]]]
+) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of sparse rational rows given as (column,
+    nonzero entry) pairs: each row is cleared of denominators, reduced over
+    the integers against the pivot rows until its leading (smallest) column
+    is new, and divided by its content.  Maps each pivot column to its row;
+    the number of pivots is the rank."""
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in rows:
+        row = dict(vec)
+        if any(type(x) is not int for x in row.values()):
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {c: int(x * den) for c, x in row.items()}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                g = 0
+                for x in row.values():
+                    g = gcd(g, x)
+                pivots[lead] = {c: x // g for c, x in row.items()}
+                break
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            for c, x in piv.items():
+                v = a * row.pop(c, 0) - b * x
+                if v:
+                    row[c] = v
+            if a != 1:
+                for c in row:
+                    if c not in piv:
+                        row[c] *= a
+    return pivots
 
 
 def rank_and_kernel(
     m: ExactMatrix, col_order: Sequence[int] | None = None
 ) -> tuple[int, list[list[Fraction]]]:
-    """Exact rank and a kernel basis via fraction-free (Bareiss) elimination.
+    """Exact rank and a kernel basis: `echelon` on the rows, then back
+    substitution over Fractions.
 
     `col_order` permutes the columns before elimination; the returned kernel
     vectors are always expressed in the original column order.  Passing a
     different order gives an independent elimination path for cross-checks.
     """
-    if col_order is None:
-        col_order = list(range(m.cols))
-    rows = [r for r in _integer_rows(m, col_order) if any(r)]
     n_cols = m.cols
-    # Bareiss fraction-free elimination to row echelon form
-    pivots: list[int] = []  # column index (in permuted order) per pivot row
-    piv_r = 0
-    prev_piv = 1
-    for col in range(n_cols):
-        sel = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        p = rows[piv_r][col]
-        for r in range(piv_r + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [
-                (p * rows[r][c] - f * rows[piv_r][c]) // prev_piv for c in range(n_cols)
-            ]
-        prev_piv = p
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
-    rank = len(pivots)
-    # Back substitution for kernel vectors (over Fractions)
-    echelon = [[Fraction(x) for x in rows[r]] for r in range(rank)]
-    free_cols = [c for c in range(n_cols) if c not in set(pivots)]
+    if col_order is None:
+        col_order = list(range(n_cols))
+    pivots = echelon(
+        [(p, m[i, j]) for p, j in enumerate(col_order) if m[i, j]] for i in range(m.rows)
+    )
+    order = sorted(pivots, reverse=True)
     kernel: list[list[Fraction]] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for r in range(rank - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(
-                (echelon[r][c] * vec[c] for c in range(pc + 1, n_cols)),
-                Fraction(0),
-            )
-            vec[pc] = -s / echelon[r][pc]
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        vec = {fc: Fraction(1)}
+        for pc in order:
+            row = pivots[pc]
+            s = sum(x * vec[c] for c, x in row.items() if c in vec)
+            if s:
+                vec[pc] = -s / row[pc]
         # un-permute back to original column order
         orig = [Fraction(0)] * n_cols
         for pos, j in enumerate(col_order):
-            orig[j] = vec[pos]
+            orig[j] = vec.get(pos, Fraction(0))
         kernel.append(orig)
-    return rank, kernel
+    return len(pivots), kernel

@@ -13,7 +13,6 @@ becomes exp(<-lambda, t>) under the integral.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +20,6 @@ from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
 from .cohomology import build_ce_complex, cohomology_table, ChainComplex
-from .euler import decompose_character
 from .exact import LaurentCharacter, Weight, exterior_power_character
 from .roots import RootDatum
 

@@ -11,7 +11,7 @@ pairing (wedge-then-contract plus contract-then-wedge is the identity, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (

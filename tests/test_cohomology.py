@@ -1,7 +1,12 @@
 """Nilradical cohomology: the complex, the prediction oracle, homology."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,10 @@ from lefschetz.cohomology import (
     kostant_prediction,
     weight_multiplicities,
 )
+from lefschetz.exact import ExactMatrix, pairs, rank_and_kernel
 from lefschetz.roots import build_root_system
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def setup(label, levi, lam):
@@ -185,3 +193,65 @@ class TestHomologyAndEuler:
     def test_euler_character_b2(self):
         _, split, mod = setup("B2", {1}, (1, 1))
         assert euler_character_check(build_ce_complex(split, mod))
+
+
+def dense(block):
+    mat = ExactMatrix(block.rows, block.cols)
+    for j, col in enumerate(block.columns):
+        for i, v in pairs(col):
+            mat[i, j] = v
+    return mat
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_sparse_rank_matches_dense_elimination(label):
+    """Each block's sparse rank (its columns eliminated) equals the dense row
+    elimination of rank_and_kernel, in the natural and the reversed column
+    order, for every Levi subset and every weight with coordinates <= 1."""
+    datum = build_root_system(label)
+    alg = build_chevalley_algebra(datum)
+    for lam in itertools.product(range(2), repeat=2):
+        mod = highest_weight_module(alg, lam)
+        for levi in ((), (0,), (1,), (0, 1)):
+            split = parabolic_split(alg, levi)
+            for cx in (build_ce_complex(split, mod), ChainComplex(split, mod)):
+                for blocks in cx.differentials:
+                    for block in blocks.values():
+                        mat, rank = dense(block), block.rank()
+                        reverse = list(range(mat.cols))[::-1]
+                        assert rank == rank_and_kernel(mat)[0]
+                        assert rank == rank_and_kernel(mat, col_order=reverse)[0]
+
+
+def test_homology_invariant_survives_optimize_flag():
+    """Under python -O a complex whose d^2 check fails still stops
+    homology_table, with the same exception type."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from lefschetz import cohomology
+        from lefschetz.algebra import (
+            build_chevalley_algebra, highest_weight_module, parabolic_split,
+        )
+        from lefschetz.roots import build_root_system
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        alg = build_chevalley_algebra(build_root_system("A2"))
+        split, mod = parabolic_split(alg, ()), highest_weight_module(alg, (1, 0))
+        cohomology.ChainComplex.verify_complex = lambda self: False
+        try:
+            cohomology.homology_table(split, mod)
+        except AssertionError as e:
+            print("raised:", e)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: boundary does not square to zero" in proc.stdout

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.exact import (
     ExactMatrix,
     LaurentCharacter,
+    SparseMatrix,
     alternating_exterior_sum,
     character_product,
     exterior_power_character,
+    flat,
     rank_and_kernel,
 )
 
@@ -192,3 +196,37 @@ class TestExactMatrix:
             assert r1 == r2 and len(k1) == len(k2)
             for v in k2:
                 assert all(x == 0 for x in mat.apply(v))
+
+
+def test_sparse_product_and_zero():
+    d0 = SparseMatrix(2, [(0, 1, 1, -1)])
+    d1 = SparseMatrix(1, [(0, Fraction(1, 3)), (0, Fraction(1, 3))])
+    assert (d1 @ d0).is_zero()
+    assert (d0 @ SparseMatrix(1, [(0, 2)])).columns == [(0, 2, 1, -2)]
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    # a few repeated rows make rank deficiency common
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    scale = st.sampled_from([1, -2, Fraction(1, 3)])
+    scales = draw(st.lists(scale, min_size=n, max_size=n))
+    return ExactMatrix.from_rows([[c * x for x in rows[i]] for i, c in zip(picks, scales)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.randoms(use_true_random=False))
+def test_rank_invariant_under_column_permutation(mat, rng):
+    rank, kernel = rank_and_kernel(mat)
+    order = list(range(mat.cols))
+    rng.shuffle(order)
+    permuted_rank, permuted_kernel = rank_and_kernel(mat, col_order=order)
+    columns = [flat({i: mat[i, j] for i in range(mat.rows) if mat[i, j]}) for j in order]
+    assert permuted_rank == rank == SparseMatrix(mat.rows, columns).rank()
+    assert rank + len(kernel) == mat.cols == rank + len(permuted_kernel)
+    for v in kernel + permuted_kernel:
+        assert all(x == 0 for x in mat.apply(v))
