@@ -288,10 +288,6 @@ class ParabolicSplit:
     two_rho_P: tuple[Fraction, ...]  # restricted to a
 
     @property
-    def nbar_roots(self) -> tuple[Weight, ...]:
-        return tuple(_neg(r) for r in self.n_roots)
-
-    @property
     def datum(self) -> RootDatum:
         return self.algebra.datum
 
@@ -307,10 +303,6 @@ class ParabolicSplit:
             sum((Fraction(b[j]) * lam[j] for j in range(len(lam))), Fraction(0))
             for b in self.a_basis
         )
-
-    def restrict_to_levi(self, lam) -> Weight:
-        """Fundamental coordinates of the weight for the Levi subsystem."""
-        return tuple(lam[i] for i in sorted(self.levi))
 
 
 def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
@@ -421,6 +413,11 @@ def highest_weight_module(
 ) -> WeightModule:
     datum = alg.datum
     lam = tuple(int(c) for c in lam)
+    if len(lam) != datum.rank:
+        raise ValueError(
+            f"highest weight {lam} has {len(lam)} coordinates; "
+            f"{datum.label} has rank {datum.rank}"
+        )
     if not datum.is_dominant(lam):
         raise ValueError(f"highest weight {lam} is not dominant")
     expected_dim = datum.weyl_dimension(lam)
@@ -593,7 +590,8 @@ def casimir_eigenvalue(
 
     lam_rho = _add(mod.highest_weight, alg.datum.rho)
     formula = inner(lam_rho, lam_rho) - inner(alg.datum.rho, alg.datum.rho)
-    assert scalar == formula, (
-        f"Casimir scalar {scalar} != (lam+rho)^2-rho^2 = {formula}"
-    )
+    if scalar != formula:
+        raise AssertionError(
+            f"Casimir scalar {scalar} != (lam+rho)^2-rho^2 = {formula}"
+        )
     return scalar

@@ -9,15 +9,13 @@ environment variable LEF_MAX_DIM overrides the module-dimension cap.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 
-from . import algebra, cohomology, euler, formula, roots, spin
+from . import algebra, cohomology, euler, formula, roots, verify
 from .exact import LaurentCharacter
 
 EXIT_OK = 0
@@ -55,6 +53,28 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_ledger(path: str, split) -> list:
+    """The ledger's class records; each a_log must have one entry per
+    dimension of the split's a."""
+    records = [
+        formula.GeodesicClassRecord.from_json_obj(row)
+        for row in _load_json(path)["classes"]
+    ]
+    for rec in records:
+        if len(rec.a_log) != split.a_dim():
+            raise ValueError(
+                f"a_log {list(rec.a_log)} has {len(rec.a_log)} entries, "
+                f"but a has dimension {split.a_dim()}"
+            )
+    return records
+
+
+def _module(alg, weight: str):
+    return algebra.highest_weight_module(
+        alg, _parse_weight(weight), dim_bound=_dim_bound()
+    )
+
+
 def _build(label: str, levi) -> tuple:
     datum = roots.build_root_system(label)
     alg = algebra.build_chevalley_algebra(datum)
@@ -74,9 +94,7 @@ def cmd_root_system(args) -> int:
 def cmd_module(args) -> int:
     datum = roots.build_root_system(args.type)
     alg = algebra.build_chevalley_algebra(datum)
-    mod = algebra.highest_weight_module(
-        alg, _parse_weight(args.weight), dim_bound=_dim_bound()
-    )
+    mod = _module(alg, args.weight)
     obj = {
         "type": datum.label,
         "highest_weight": list(mod.highest_weight),
@@ -97,9 +115,7 @@ def cmd_module(args) -> int:
 
 def cmd_cohomology(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    mod = algebra.highest_weight_module(
-        alg, _parse_weight(args.weight), dim_bound=_dim_bound()
-    )
+    mod = _module(alg, args.weight)
     cx = cohomology.build_ce_complex(split, mod)
     table = cohomology.cohomology_table(cx)
     prediction = cohomology.kostant_prediction(datum, split, mod.highest_weight)
@@ -112,17 +128,12 @@ def cmd_cohomology(args) -> int:
 def _tau_character(datum, alg, text: str) -> LaurentCharacter:
     if text in (None, "", "trivial"):
         return LaurentCharacter.one(datum.rank)
-    mod = algebra.highest_weight_module(
-        alg, _parse_weight(text), dim_bound=_dim_bound()
-    )
-    return mod.character()
+    return _module(alg, text).character()
 
 
 def cmd_spectral(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    mod = algebra.highest_weight_module(
-        alg, _parse_weight(args.weight), dim_bound=_dim_bound()
-    )
+    mod = _module(alg, args.weight)
     tau = _tau_character(datum, alg, args.tau)
     levi_form = formula.LeviRealForm(LaurentCharacter.zero(datum.rank))
     table = formula.spectral_term(mod, split, levi_form, tau)
@@ -132,11 +143,9 @@ def cmd_spectral(args) -> int:
 
 def cmd_geometric(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    data = _load_json(args.ledger)
     n_weights = [split.restrict_to_a(r) for r in split.n_roots]
     out = []
-    for row in data["classes"]:
-        rec = formula.GeodesicClassRecord.from_json_obj(row)
+    for rec in _load_ledger(args.ledger, split):
         c = formula.geometric_term(rec, n_weights)
         out.append({"record": rec.to_json_obj(), "c": [c.real, c.imag]})
     _emit({"type": datum.label, "levi": sorted(split.levi), "classes": out})
@@ -146,10 +155,7 @@ def cmd_geometric(args) -> int:
 def cmd_balance(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
     spec = formula.SpectralInput.from_json_obj(_load_json(args.spectral))
-    ledger = [
-        formula.GeodesicClassRecord.from_json_obj(row)
-        for row in _load_json(args.ledger)["classes"]
-    ]
+    ledger = _load_ledger(args.ledger, split)
     phi = formula.TestFunction.from_json_obj(_load_json(args.testfn))
     g, l, r = formula.balance_evaluator(spec, ledger, phi, split=split)
     _emit(
@@ -192,177 +198,8 @@ def cmd_chi_gen(args) -> int:
 # Verification suite
 
 
-def _sweep(types, max_coord):
-    for label in types:
-        datum = roots.build_root_system(label)
-        alg = algebra.build_chevalley_algebra(datum)
-        weights = list(itertools.product(range(max_coord + 1), repeat=datum.rank))
-        mods = {
-            lam: algebra.highest_weight_module(alg, lam, dim_bound=_dim_bound())
-            for lam in weights
-        }
-        for bits in range(1 << datum.rank):
-            levi = frozenset(i for i in range(datum.rank) if bits >> i & 1)
-            split = algebra.parabolic_split(alg, levi)
-            yield datum, alg, split, mods
-
-
-def _check_jacobi(cfg):
-    for label in cfg["types"]:
-        datum = roots.build_root_system(label)
-        alg = algebra.build_chevalley_algebra(datum)
-        basis = alg.basis
-        for x, y, z in itertools.combinations(basis, 3):
-            acc = {}
-            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                inner = alg.bracket(b, c)
-                for k, v in alg.bracket_combos({a: Fraction(1)}, inner).items():
-                    acc[k] = acc.get(k, Fraction(0)) + v
-            if any(v != 0 for v in acc.values()):
-                return {"type": label, "triple": [repr(x), repr(y), repr(z)]}
-    return None
-
-
-def _check_d2(cfg):
-    for datum, alg, split, mods in _sweep(cfg["types"], cfg["max_coord"]):
-        for lam, mod in mods.items():
-            cx = cohomology.build_ce_complex(split, mod)
-            if not cx.verify_complex():
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "weight": list(lam),
-                }
-    return None
-
-
-def _check_kostant(cfg):
-    for datum, alg, split, mods in _sweep(cfg["types"], cfg["max_coord"]):
-        for lam, mod in mods.items():
-            cx = cohomology.build_ce_complex(split, mod)
-            table = cohomology.cohomology_table(cx)
-            if table != cohomology.kostant_prediction(datum, split, lam):
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "weight": list(lam),
-                }
-    return None
-
-
-def _check_euler(cfg):
-    for datum, alg, split, mods in _sweep(cfg["types"], cfg["max_coord"]):
-        for lam, mod in mods.items():
-            cx = cohomology.build_ce_complex(split, mod)
-            if not cohomology.euler_character_check(cx):
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "weight": list(lam),
-                }
-    return None
-
-
-def _check_duality(cfg):
-    for datum, alg, split, mods in _sweep(cfg["types"], cfg["max_coord"]):
-        for lam, mod in mods.items():
-            _, holds = cohomology.homology_table(split, mod)
-            if not holds:
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "weight": list(lam),
-                }
-    return None
-
-
-def _check_spin(cfg):
-    for m in range(1, cfg["max_m"] + 1):
-        space = spin.PolarizedSpace(m)
-        if not spin.clifford_relation_check(space):
-            return {"m": m, "failure": "clifford relation"}
-        holds, sign = spin.verify_spin_square(space)
-        if not holds:
-            return {"m": m, "failure": "spin square"}
-    return None
-
-
-def _check_epsilon(cfg):
-    for m in range(1, cfg["max_m"] + 1):
-        holds, parity = spin.epsilon_twist_check(spin.PolarizedSpace(m))
-        if not holds:
-            return {"m": m, "failure": "epsilon twist"}
-    return None
-
-
-def _check_det(cfg):
-    rng = random.Random(cfg["seed"])
-    for datum, alg, split, mods in _sweep(cfg["types"], 0):
-        weights = [split.restrict_to_a(r) for r in split.n_roots]
-        for _ in range(cfg["points"]):
-            point = tuple(
-                Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                for _ in range(split.a_dim())
-            )
-            if not formula.det_identity_check(weights, point):
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "point": [str(x) for x in point],
-                }
-    return None
-
-
-def _check_hechtschmid(cfg):
-    types = [t for t in cfg["types"] if t in ("A1", "A2")] or ["A1", "A2"]
-    for datum, alg, split, mods in _sweep(types, cfg["max_coord"]):
-        for lam, mod in mods.items():
-            if not formula.hecht_schmid_check(mod, split):
-                return {
-                    "type": datum.label,
-                    "levi": sorted(split.levi),
-                    "weight": list(lam),
-                }
-    return None
-
-
-def _check_comb(cfg):
-    for r in range(cfg["max"] + 1):
-        for p in range(cfg["max"] + 1):
-            if not euler.comb_identity_check(r, p):
-                return {"r": r, "p": p}
-    return None
-
-
-def _check_chitransfer(cfg):
-    rng = random.Random(cfg["seed"])
-    for _ in range(500):
-        n = rng.randint(1, 8)
-        base = euler.BettiVector(tuple(rng.randint(0, 5) for _ in range(n)))
-        r = rng.randint(0, 5)
-        lifted = euler.bundle_betti_transfer(base, r)
-        if euler.chi_r(lifted, r) != euler.chi_r(base, 0):
-            return {"base": list(base.b), "r": r}
-    return None
-
-
-CHECKS = {
-    "jacobi": _check_jacobi,
-    "d2": _check_d2,
-    "kostant": _check_kostant,
-    "euler": _check_euler,
-    "duality": _check_duality,
-    "spin": _check_spin,
-    "epsilon": _check_epsilon,
-    "det": _check_det,
-    "hechtschmid": _check_hechtschmid,
-    "comb": _check_comb,
-    "chitransfer": _check_chitransfer,
-}
-
-
 def cmd_verify(args) -> int:
-    names = sorted(CHECKS) if args.suite == "all" else [args.suite]
+    names = sorted(verify.CHECKS) if args.suite == "all" else [args.suite]
     cfg = {
         "types": args.types.split(","),
         "max_coord": args.max_coord,
@@ -371,21 +208,19 @@ def cmd_verify(args) -> int:
         "max": args.max,
         "points": args.points,
     }
+    sweep = verify.Sweep(dim_bound=_dim_bound())
     entries = []
     failed = 0
     for name in names:
         t0 = time.monotonic()
-        counterexample = CHECKS[name](cfg)
+        counterexample = verify.CHECKS[name](cfg, sweep)
         ms = int((time.monotonic() - t0) * 1000)
         ok = counterexample is None
-        if not ok:
-            failed += 1
+        failed += not ok
         entries.append(
             {
                 "check": name,
-                "parameters": {
-                    k: v for k, v in cfg.items() if k in ("types", "max_coord", "seed", "max_m", "max", "points")
-                },
+                "parameters": cfg,
                 "pass": ok,
                 "counterexample": counterexample,
                 "wall_ms": ms,
@@ -461,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chi_gen)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("suite", choices=["all"] + sorted(CHECKS))
+    p.add_argument("suite", choices=["all"] + sorted(verify.CHECKS))
     p.add_argument("--types", default="A1,A2")
     p.add_argument("--max-coord", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import lcm
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
-from .exact import LaurentCharacter, SparseMatrix, Weight, flat
+from .exact import LaurentCharacter, SparseMatrix, Weight, alternating_exterior_sum, flat
 from .roots import RootDatum
 
 
@@ -288,12 +288,6 @@ class CohomologyTable:
             total = total + ch if q % 2 == 0 else total - ch
         return total
 
-    def degree_character(self, q: int) -> LaurentCharacter:
-        rank = self.split.datum.rank
-        if not 0 <= q < len(self.degrees):
-            return LaurentCharacter.zero(rank)
-        return LaurentCharacter(rank, dict(self.degrees[q]))
-
     def __eq__(self, other):
         if not isinstance(other, CohomologyTable):
             return NotImplemented
@@ -408,11 +402,6 @@ def homology_table(
 
 def euler_character_check(cx: CEComplex) -> bool:
     """Σ_q (-1)^q ch H^q = ch V · Π_{α in n} (1 - x^{-α}), exactly."""
-    table = cohomology_table(cx)
-    lhs = table.euler_character()
-    rank = cx.split.datum.rank
-    rhs = cx.module.character()
-    one = LaurentCharacter.one(rank)
-    for r in cx.n_roots:
-        rhs = rhs * (one - LaurentCharacter.monomial(_neg(r)))
-    return lhs == rhs
+    n_dual = LaurentCharacter.from_weights(cx.split.datum.rank, map(_neg, cx.n_roots))
+    rhs = cx.module.character() * alternating_exterior_sum(n_dual)
+    return cohomology_table(cx).euler_character() == rhs

@@ -178,12 +178,13 @@ def orbital_integral_value(inp: EllipticClassInput) -> complex:
 # Character decomposition and Euler-Poincare trace values
 
 
-def _is_weyl_invariant(datum: RootDatum, ch: LaurentCharacter) -> bool:
+def _is_weyl_invariant(datum: RootDatum, ch: LaurentCharacter, simple=None) -> bool:
+    """Invariance under the reflections in the `simple` roots (default: all)."""
     if ch.scale != 1:
         ch = ch.normalized()
         if ch.scale != 1:
             return False
-    for i in range(datum.rank):
+    for i in range(datum.rank) if simple is None else simple:
         reflected = {}
         for w, m in ch.terms.items():
             reflected[datum.reflect(w, i)] = m
@@ -192,26 +193,33 @@ def _is_weyl_invariant(datum: RootDatum, ch: LaurentCharacter) -> bool:
     return True
 
 
-def decompose_character(datum: RootDatum, ch: LaurentCharacter) -> dict[Weight, int]:
+def decompose_character(
+    datum: RootDatum, ch: LaurentCharacter, levi=None
+) -> dict[Weight, int]:
     """Multiplicities of irreducible characters in a Weyl-invariant virtual
-    character, by greedy subtraction of the highest remaining term."""
-    if not _is_weyl_invariant(datum, ch):
+    character, by greedy subtraction of the highest remaining term.  With
+    `levi`, the irreducibles and the Weyl group are those of the subsystem
+    of those simple roots, and a weight is ordered by its height on them."""
+    levi = range(datum.rank) if levi is None else sorted(levi)
+    if not _is_weyl_invariant(datum, ch, levi):
         raise ValueError("character is not Weyl-invariant")
-    ch = ch.normalized()
-    remaining = dict(ch.terms)
+    remaining = dict(ch.normalized().terms)
     out: dict[Weight, int] = {}
+
+    def height(w):
+        coords = datum.root_coordinates(w)
+        return sum((coords[i] for i in levi), Fraction(0))
+
     while remaining:
-        top = max(
-            remaining, key=lambda w: (sum(datum.root_coordinates(w)), w)
-        )
-        if not datum.is_dominant(top):
+        top = max(remaining, key=lambda w: (height(w), w))
+        if any(top[i] < 0 for i in levi):
             raise ValueError(
                 f"highest remaining weight {top} is not dominant; "
                 "input is not a virtual character of the group"
             )
         m = remaining[top]
         out[top] = out.get(top, 0) + m
-        for w, mult in weight_multiplicities(datum, top).items():
+        for w, mult in weight_multiplicities(datum, top, levi).items():
             c = remaining.get(w, 0) - m * mult
             if c:
                 remaining[w] = c
@@ -220,9 +228,12 @@ def decompose_character(datum: RootDatum, ch: LaurentCharacter) -> dict[Weight, 
     return {k: v for k, v in out.items() if v}
 
 
-def trivial_multiplicity(datum: RootDatum, ch: LaurentCharacter) -> int:
-    zero = (0,) * datum.rank
-    return decompose_character(datum, ch).get(zero, 0)
+def trivial_multiplicity(datum: RootDatum, ch: LaurentCharacter, levi=None) -> int:
+    """Multiplicity of the summands trivial on the subsystem of the `levi`
+    simple roots (default: all), whose highest weights vanish on them."""
+    levi = range(datum.rank) if levi is None else levi
+    tops = decompose_character(datum, ch, levi)
+    return sum(m for top, m in tops.items() if all(top[i] == 0 for i in levi))
 
 
 def euler_poincare_trace(

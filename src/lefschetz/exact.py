@@ -9,7 +9,6 @@ no tolerance, modulus or random choice enters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -195,9 +194,6 @@ class LaurentCharacter:
                 {"w": list(w), "m": m} for w, m in sorted(self.terms.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentCharacter":

@@ -20,16 +20,15 @@ from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
 from .cohomology import build_ce_complex, cohomology_table, ChainComplex
-from .exact import LaurentCharacter, Weight, exterior_power_character
-from .roots import RootDatum
+from .euler import trivial_multiplicity
+from .exact import (
+    LaurentCharacter,
+    Weight,
+    alternating_exterior_sum,
+    exterior_power_character,
+)
 
 AWeight = tuple[Fraction, ...]
-
-
-def _parse_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +53,16 @@ class GeodesicClassRecord:
                 return complex(v[0], v[1])
             return complex(v)
 
-        return cls(
-            tuple(float(x) for x in obj["a_log"]),
-            float(obj["covolume"]),
-            _parse_fraction(obj["chi_r"]),
-            cx(obj["omega_trace"]),
-            cx(obj["tau_trace"]),
-        )
+        try:
+            return cls(
+                tuple(float(x) for x in obj["a_log"]),
+                float(obj["covolume"]),
+                Fraction(obj["chi_r"]),
+                cx(obj["omega_trace"]),
+                cx(obj["tau_trace"]),
+            )
+        except TypeError as e:
+            raise ValueError(f"malformed geodesic class record: {e}") from e
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,7 +101,7 @@ class SpectralTermTable:
     def from_json_obj(cls, rows: list) -> "SpectralTermTable":
         return cls(
             {
-                tuple(_parse_fraction(c) for c in row["lambda"]): int(row["m"])
+                tuple(Fraction(c) for c in row["lambda"]): int(row["m"])
                 for row in rows
             }
         )
@@ -154,7 +156,7 @@ class TestFunction:
             tuple(
                 (
                     float(p["coefficient"]),
-                    tuple(_parse_fraction(c) for c in p["mu"]),
+                    tuple(Fraction(c) for c in p["mu"]),
                     tuple((float(t), float(u)) for t, u in p["box"]),
                 )
                 for p in obj["pieces"]
@@ -231,41 +233,6 @@ def det_identity_check(n_weights, point) -> bool:
 # Spectral side
 
 
-def _levi_invariant_dimension(
-    datum: RootDatum, levi, ch: LaurentCharacter
-) -> int:
-    """Multiplicity of Levi-trivial summands in a virtual Levi character
-    given in full Cartan coordinates."""
-    levi = sorted(levi)
-    if not levi:
-        return sum(ch.terms.values())
-    # greedy decomposition against subsystem characters
-    remaining = dict(ch.normalized().terms)
-    total = 0
-    from .cohomology import weight_multiplicities
-
-    def levi_height(w):
-        coords = datum.root_coordinates(w)
-        return sum((coords[i] for i in levi), Fraction(0))
-
-    while remaining:
-        top = max(remaining, key=lambda w: (levi_height(w), w))
-        if any(top[i] < 0 for i in levi):
-            raise ValueError(
-                f"maximal weight {top} is not dominant for the subsystem"
-            )
-        m = remaining[top]
-        if all(top[i] == 0 for i in levi):
-            total += m
-        for w, mult in weight_multiplicities(datum, top, levi).items():
-            c = remaining.get(w, 0) - m * mult
-            if c:
-                remaining[w] = c
-            else:
-                remaining.pop(w, None)
-    return total
-
-
 def spectral_term(
     mod: WeightModule,
     split: ParabolicSplit,
@@ -292,7 +259,7 @@ def spectral_term(
             h_ch = LaurentCharacter(datum.rank, terms)
             for p in range(p_ch.dimension() + 1):
                 prod = h_ch * exterior_power_character(p_ch, p) * tau_dual
-                inv = _levi_invariant_dimension(datum, split.levi, prod)
+                inv = trivial_multiplicity(datum, prod, split.levi)
                 if inv:
                     val = sign_n * ((-1) ** (p + q)) * inv
                     out[lam] = out.get(lam, 0) + val
@@ -315,7 +282,7 @@ def geometric_term(
         raise ValueError("one multiplier per n-weight required")
     det = complex(1.0)
     for w, u in zip(n_weights, multipliers):
-        expo = sum(float(c) * x for c, x in zip(w, rec.a_log))
+        expo = sum(float(c) * x for c, x in zip(w, rec.a_log, strict=True))
         if expo >= 0:
             raise ValueError(
                 f"weight {tuple(w)} is not negative on a_log; record lies "
@@ -345,18 +312,9 @@ def hecht_schmid_check(mod: WeightModule, split: ParabolicSplit) -> bool:
     """ch(V) * prod_{alpha in n}(1 - x^alpha) = sum_p (-1)^p ch H_p(n, V),
     exactly as Laurent characters on the full Cartan (the chain convention
     of the homology boundary fixes the orientation)."""
-    datum = split.datum
-    lhs = mod.character()
-    one = LaurentCharacter.one(datum.rank)
-    for r in split.n_roots:
-        lhs = lhs * (one - LaurentCharacter.monomial(r))
-    chains = ChainComplex(split, mod)
-    hom = chains.table()
-    rhs = LaurentCharacter.zero(datum.rank)
-    for p, degree in enumerate(hom.degrees):
-        ch = LaurentCharacter(datum.rank, dict(degree))
-        rhs = rhs + ch if p % 2 == 0 else rhs - ch
-    return lhs == rhs
+    n_char = LaurentCharacter.from_weights(split.datum.rank, split.n_roots)
+    lhs = mod.character() * alternating_exterior_sum(n_char)
+    return lhs == ChainComplex(split, mod).table().euler_character()
 
 
 # ---------------------------------------------------------------------------

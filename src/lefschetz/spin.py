@@ -18,6 +18,7 @@ from .exact import (
     ExactMatrix,
     LaurentCharacter,
     Weight,
+    alternating_exterior_sum,
     exterior_power_character,
 )
 
@@ -171,15 +172,6 @@ def full_space_character(space: PolarizedSpace) -> LaurentCharacter:
     return LaurentCharacter(rank, terms)
 
 
-def _even_odd_difference(ch: LaurentCharacter) -> LaurentCharacter:
-    """ch ∧^even - ch ∧^odd of an effective character."""
-    total = LaurentCharacter.zero(ch.rank)
-    for p in range(ch.dimension() + 1):
-        term = exterior_power_character(ch, p)
-        total = total + term if p % 2 == 0 else total - term
-    return total
-
-
 def verify_spin_square(space: PolarizedSpace) -> tuple[bool, int]:
     """(ch S+ - ch S-)² versus ∧^even V - ∧^odd V.
 
@@ -189,7 +181,7 @@ def verify_spin_square(space: PolarizedSpace) -> tuple[bool, int]:
     s_plus, s_minus = half_spin_characters(space)
     delta = s_plus - s_minus
     lhs = delta * delta
-    rhs = _even_odd_difference(full_space_character(space))
+    rhs = alternating_exterior_sum(full_space_character(space))
     if lhs == rhs:
         return True, 1
     if lhs == -rhs:

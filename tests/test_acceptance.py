@@ -16,19 +16,6 @@ from lefschetz.algebra import (
     highest_weight_module,
     parabolic_split,
 )
-from lefschetz.cohomology import (
-    build_ce_complex,
-    cohomology_table,
-    euler_character_check,
-    homology_table,
-    kostant_prediction,
-)
-from lefschetz.euler import (
-    BettiVector,
-    bundle_betti_transfer,
-    chi_r,
-    comb_identity_check,
-)
 from lefschetz.exact import LaurentCharacter
 from lefschetz.formula import (
     GeodesicClassRecord,
@@ -36,93 +23,45 @@ from lefschetz.formula import (
     SpectralInput,
     TestFunction,
     balance_evaluator,
-    det_identity_check,
     geometric_term,
-    hecht_schmid_check,
     spectral_term,
 )
 from lefschetz.roots import build_root_system
-from lefschetz.spin import (
-    PolarizedSpace,
-    clifford_relation_check,
-    epsilon_twist_check,
-    verify_spin_square,
-)
+from lefschetz.verify import CHECKS, Sweep
 
 SWEEP_TYPES = ("A1", "A2", "B2")
 MAX_COORD = 2
-
-
-def sweep():
-    """Every (datum, split, weight, module) for the standard test grid."""
-    for label in SWEEP_TYPES:
-        datum = build_root_system(label)
-        alg = build_chevalley_algebra(datum)
-        mods = {
-            lam: highest_weight_module(alg, lam)
-            for lam in itertools.product(range(MAX_COORD + 1), repeat=datum.rank)
-        }
-        for bits in range(1 << datum.rank):
-            levi = {i for i in range(datum.rank) if bits >> i & 1}
-            split = parabolic_split(alg, levi)
-            for lam, mod in mods.items():
-                yield datum, split, lam, mod
+# The standard test grid of tests 01-03: every type, every Levi subset, every
+# dominant weight with coordinates at most MAX_COORD.
+GRID = {"types": SWEEP_TYPES, "max_coord": MAX_COORD}
 
 
 def test_01_cohomology_matches_prediction_oracle():
     """CE-complex cohomology equals the closed-form prediction on the full
     sweep: every type, every Levi subset, every dominant weight with
     coordinates at most 2.  Exact table equality per degree per weight."""
-    for datum, split, lam, mod in sweep():
-        table = cohomology_table(build_ce_complex(split, mod))
-        assert table == kostant_prediction(datum, split, lam), (
-            datum.label,
-            sorted(split.levi),
-            lam,
-        )
+    assert CHECKS["kostant"](GRID, Sweep()) is None
 
 
 def test_02_euler_character_identity():
     """The alternating sum of cohomology characters equals the module
     character times the alternating exterior sum of the dual nilradical,
     exactly, on the full sweep."""
-    for datum, split, lam, mod in sweep():
-        cx = build_ce_complex(split, mod)
-        assert euler_character_check(cx), (datum.label, sorted(split.levi), lam)
+    assert CHECKS["euler"](GRID, Sweep()) is None
 
 
 def test_03_homology_cohomology_duality():
     """Graded homology in degree p matches cohomology in degree (top - p)
     shifted by the top exterior power of the nilradical, exactly, on the
     full sweep."""
-    for datum, split, lam, mod in sweep():
-        _, holds = homology_table(split, mod)
-        assert holds, (datum.label, sorted(split.levi), lam)
+    assert CHECKS["duality"](GRID, Sweep()) is None
 
 
 def test_04_determinant_identity():
     """Alternating trace over exterior powers equals det(1 - action) at 50
     seeded rational points for every root-system/Levi pair.  Exact."""
-    import random
-
-    rng = random.Random(0)
-    for label in SWEEP_TYPES:
-        datum = build_root_system(label)
-        alg = build_chevalley_algebra(datum)
-        for bits in range(1 << datum.rank):
-            levi = {i for i in range(datum.rank) if bits >> i & 1}
-            split = parabolic_split(alg, levi)
-            weights = [split.restrict_to_a(r) for r in split.n_roots]
-            for _ in range(50):
-                point = tuple(
-                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                    for _ in range(split.a_dim())
-                )
-                assert det_identity_check(weights, point), (
-                    label,
-                    sorted(levi),
-                    point,
-                )
+    cfg = {"types": SWEEP_TYPES, "seed": 0, "points": 50}
+    assert CHECKS["det"](cfg, Sweep()) is None
 
 
 def test_05_spin_suite():
@@ -132,39 +71,21 @@ def test_05_spin_suite():
     sign per m (recorded and checked as (-1)^m); and the twist by the
     full-space character reproduces the half-spin multiset with the
     recorded parity.  All exact."""
-    for m in range(1, 7):
-        sp = PolarizedSpace(m)
-        assert clifford_relation_check(sp), m
-        holds, sign = verify_spin_square(sp)
-        assert holds and sign == (-1) ** m, (m, sign)
-        holds, parity = epsilon_twist_check(sp)
-        assert holds and parity == ("even" if m % 2 == 0 else "odd"), (m, parity)
+    assert CHECKS["spin"]({"max_m": 6}, Sweep()) is None
+    assert CHECKS["epsilon"]({"max_m": 6}, Sweep()) is None
 
 
 def test_06_binomial_alternating_identity():
     """sum_j (-1)^(j+r) C(j, r) C(r, j-p) = (-1)^p for all 0 <= r, p <= 12:
     169 out of 169 cases, exact."""
-    results = [comb_identity_check(r, p) for r in range(13) for p in range(13)]
-    assert len(results) == 169 and all(results)
+    assert CHECKS["comb"]({"max": 12}, Sweep()) is None
 
 
 def test_07_weighted_euler_transfer():
     """chi_r of the rank-r transfer of a Betti vector equals chi_0 of the
     original, for every vector of length <= 8 with entries <= 5 and every
     r <= 5.  Exhaustive over a seeded sample plus small exhaustive grid."""
-    import random
-
-    for n in range(1, 4):
-        for entries in itertools.product(range(3), repeat=n):
-            b = BettiVector(entries)
-            for r in range(6):
-                assert chi_r(bundle_betti_transfer(b, r), r) == chi_r(b, 0)
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randint(1, 8)
-        b = BettiVector(tuple(rng.randint(0, 5) for _ in range(n)))
-        r = rng.randint(0, 5)
-        assert chi_r(bundle_betti_transfer(b, r), r) == chi_r(b, 0)
+    assert CHECKS["chitransfer"]({"seed": 1}, Sweep()) is None
 
 
 def test_08_casimir_scalar():
@@ -184,15 +105,8 @@ def test_08_casimir_scalar():
 def test_09_character_times_determinant_equals_homology():
     """ch(V) . det(1 - x | n) equals the alternating homology character
     under the fixed chain convention, exactly, on the A1/A2 sweep."""
-    for label in ("A1", "A2"):
-        datum = build_root_system(label)
-        alg = build_chevalley_algebra(datum)
-        for bits in range(1 << datum.rank):
-            levi = {i for i in range(datum.rank) if bits >> i & 1}
-            split = parabolic_split(alg, levi)
-            for lam in itertools.product(range(MAX_COORD + 1), repeat=datum.rank):
-                mod = highest_weight_module(alg, lam)
-                assert hecht_schmid_check(mod, split), (label, sorted(levi), lam)
+    cfg = {"types": ("A1", "A2"), "max_coord": MAX_COORD}
+    assert CHECKS["hechtschmid"](cfg, Sweep()) is None
 
 
 def test_10_rank_one_trace_identity_fixture():

@@ -1,7 +1,12 @@
 """Chevalley algebras, parabolic splits, modules, Killing form and Casimir."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,22 +18,13 @@ from lefschetz.algebra import (
 )
 from lefschetz.exact import ExactMatrix
 from lefschetz.roots import build_root_system
+from lefschetz.verify import CHECKS, Sweep
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def algebra(label):
     return build_chevalley_algebra(build_root_system(label))
-
-
-def jacobi_holds(alg):
-    for x, y, z in itertools.combinations(alg.basis, 3):
-        acc = {}
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            inner = alg.bracket(b, c)
-            for k, v in alg.bracket_combos({a: Fraction(1)}, inner).items():
-                acc[k] = acc.get(k, Fraction(0)) + v
-        if any(v != 0 for v in acc.values()):
-            return False
-    return True
 
 
 class TestBrackets:
@@ -63,8 +59,8 @@ class TestBrackets:
                 assert fwd == {k: -v for k, v in back.items()}
 
     def test_jacobi(self):
-        for label in ("A1", "A2", "B2", "G2"):
-            assert jacobi_holds(algebra(label)), label
+        cfg = {"types": ("A1", "A2", "B2", "G2")}
+        assert CHECKS["jacobi"](cfg, Sweep()) is None
 
 
 class TestKillingForm:
@@ -216,3 +212,35 @@ class TestCasimir:
                 mod = highest_weight_module(alg, lam)
                 for form in ("killing", "short-root-2"):
                     casimir_eigenvalue(alg, mod, form)
+
+    def test_formula_check_survives_optimize_flag(self):
+        """Under python -O a Casimir scalar that disagrees with
+        (lam+rho, lam+rho) - (rho, rho) still raises AssertionError."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from lefschetz import algebra
+            from lefschetz.roots import build_root_system
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            alg = algebra.build_chevalley_algebra(build_root_system("A1"))
+            mod = algebra.highest_weight_module(alg, (2,))
+            algebra.ChevalleyAlgebra.weight_form_gram = (
+                lambda self, choice: self.datum.form.scale_by(2)
+            )
+            try:
+                algebra.casimir_eigenvalue(alg, mod, "short-root-2")
+            except AssertionError as e:
+                print("raised:", e)
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: Casimir scalar" in proc.stdout

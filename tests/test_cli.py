@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from lefschetz import algebra, cohomology, spin
 from lefschetz.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAIL, main
+from lefschetz.verify import MAX_SPIN_M
 
 
 def run(capsys, *argv):
@@ -169,6 +172,47 @@ class TestErrorPaths:
         code, _ = run(capsys, "module", "--type", "A1", "--weight", "2")
         assert code == EXIT_BAD_INPUT
 
+    def test_weight_length_must_match_rank(self, capsys):
+        code, _ = run(capsys, "module", "--type", "A2", "--weight", "1")
+        assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("a_log", [5, [-1.0, -1.0, -1.0]])
+    def test_malformed_a_log(self, capsys, tmp_path, a_log):
+        # A1 Borel: a has dimension 1, so a_log needs exactly one entry
+        ledger = tmp_path / "ledger.json"
+        record = {
+            "a_log": a_log,
+            "covolume": 1.0,
+            "chi_r": "1",
+            "omega_trace": [1.0, 0.0],
+            "tau_trace": [1.0, 0.0],
+        }
+        ledger.write_text(json.dumps({"classes": [record]}))
+        code, _ = run(capsys, "geometric", "--type", "A1", "--ledger", str(ledger))
+        assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["d2", "--max-coord", "-1"],
+            ["spin", "--max-m", "0"],
+            ["det", "--points", "-3"],
+            ["comb", "--max", "-1"],
+        ],
+    )
+    def test_empty_sweep_is_bad_input(self, capsys, argv):
+        code, obj = run(capsys, "verify", *argv)
+        assert code == EXIT_BAD_INPUT and obj is None
+
+    def test_spin_limit_refused_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a polarized space was built")
+
+        monkeypatch.setattr(spin, "PolarizedSpace", refuse)
+        for check in ("spin", "epsilon"):
+            code, _ = run(capsys, "verify", check, "--max-m", str(MAX_SPIN_M + 1))
+            assert code == EXIT_BAD_INPUT
+
 
 class TestVerify:
     def test_single_check_passes(self, capsys):
@@ -209,6 +253,57 @@ class TestVerify:
         assert code == EXIT_OK
         assert obj["summary"]["failed"] == 0
         assert obj["summary"]["total"] == 11
+
+    def test_spin_sign_failure(self, capsys, monkeypatch):
+        # both signs pass spin.verify_spin_square; the registry wants (-1)^m
+        monkeypatch.setattr(spin, "verify_spin_square", lambda space: (True, 1))
+        code, obj = run(capsys, "verify", "spin", "--max-m", "2")
+        assert code == EXIT_VERIFY_FAIL
+        assert obj["summary"] == {"total": 1, "failed": 1}
+        [entry] = obj["suite"]
+        assert entry["pass"] is False
+        assert entry["counterexample"] == {"m": 1, "failure": "spin square", "sign": 1}
+
+    def test_kostant_failure_payload(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cohomology,
+            "kostant_prediction",
+            lambda datum, split, lam: cohomology.CohomologyTable(split, []),
+        )
+        code, obj = run(capsys, "verify", "kostant", "--types", "A1", "--max-coord", "0")
+        assert code == EXIT_VERIFY_FAIL
+        [entry] = obj["suite"]
+        assert entry["pass"] is False
+        assert entry["counterexample"] == {"type": "A1", "levi": [], "weight": [0]}
+
+    def test_each_module_and_split_built_once_per_run(self, capsys, monkeypatch):
+        modules, splits = Counter(), Counter()
+        build_module = algebra.highest_weight_module
+        build_split = algebra.parabolic_split
+
+        def counting_module(alg, lam, **kwargs):
+            modules[alg.datum.label, tuple(lam)] += 1
+            return build_module(alg, lam, **kwargs)
+
+        def counting_split(alg, levi):
+            splits[alg.datum.label, frozenset(levi)] += 1
+            return build_split(alg, levi)
+
+        monkeypatch.setattr(algebra, "highest_weight_module", counting_module)
+        monkeypatch.setattr(algebra, "parabolic_split", counting_split)
+        argv = ["verify", "all", "--types", "A1,A2", "--max-coord", "1",
+                "--max-m", "2", "--max", "4", "--points", "5"]
+        expected_modules = {("A1", (0,)), ("A1", (1,))} | {
+            ("A2", lam) for lam in ((0, 0), (0, 1), (1, 0), (1, 1))
+        }
+        expected_splits = {("A1", frozenset()), ("A1", frozenset({0}))} | {
+            ("A2", frozenset(levi)) for levi in ((), (0,), (1,), (0, 1))
+        }
+        for runs in (1, 2):  # a second run builds everything once more
+            code, obj = run(capsys, *argv)
+            assert code == EXIT_OK and obj["summary"]["failed"] == 0
+            assert modules == {key: runs for key in expected_modules}
+            assert splits == {key: runs for key in expected_splits}
 
     def test_deterministic_output(self, capsys):
         args = ["verify", "chitransfer", "--seed", "5"]
