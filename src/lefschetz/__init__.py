@@ -67,7 +67,6 @@ from .spin import (
     PolarizedSpace,
     SpinModule,
     clifford_action,
-    clifford_matrix,
     clifford_relation_check,
     epsilon_twist_check,
     half_spin_characters,

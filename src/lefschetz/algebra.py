@@ -229,13 +229,8 @@ class ChevalleyAlgebra:
 
     def killing_dual_form_on_weights(self) -> ExactMatrix:
         """Gram matrix of the Killing-dual form on h* in fundamental coords."""
-        r = self.datum.rank
-        Bh = ExactMatrix(r, r)
-        K = self.killing_form()
-        for i in range(r):
-            for j in range(r):
-                Bh[i, j] = K[i, j]
-        return Bh.inverse()
+        r, K = self.datum.rank, self.killing_form()
+        return ExactMatrix.from_rows([[K[i, j] for j in range(r)] for i in range(r)]).inverse()
 
     def invariant_form(self, choice: str) -> ExactMatrix:
         """Nondegenerate invariant form on the whole algebra."""
@@ -246,16 +241,10 @@ class ChevalleyAlgebra:
             # scale the Killing form so the dual form on h* is the
             # short-root-2 Gram matrix of the datum
             dual = self.killing_dual_form_on_weights()
-            G = self.datum.form
-            c = None
-            for i in range(self.datum.rank):
-                for j in range(self.datum.rank):
-                    if G[i, j] != 0:
-                        c = dual[i, j] / G[i, j]
-                        break
-                if c is not None:
-                    break
-            assert c is not None and c != 0
+            G, r = self.datum.form, self.datum.rank
+            # the ratio at the first nonzero entry of G, in row-major order
+            c = next(dual[i, j] / G[i, j] for i in range(r) for j in range(r) if G[i, j] != 0)
+            assert c != 0
             return K.scale_by(c)
         raise ValueError(f"unknown form choice {choice!r}")
 

@@ -105,6 +105,11 @@ def irreducible_character(datum: RootDatum, lam, levi=None) -> LaurentCharacter:
 # ---------------------------------------------------------------------------
 # The Chevalley-Eilenberg complex
 
+# Largest complex built, in cochains dim V * 2^|n|; the build keeps about
+# 0.4 KiB per cochain (Python-level peak, measured at 4096 cochains), so this
+# bounds it near 100 MB.  The largest complex in the tests has 4096 cochains.
+MAX_COCHAINS = 1 << 18
+
 
 def _mask(subset: tuple[int, ...]) -> int:
     return sum(1 << k for k in subset)
@@ -134,6 +139,11 @@ class CEComplex:
         self.n_roots = list(split.n_roots)
         self.top = top = len(self.n_roots)
         dim = mod.dimension
+        if dim << top > MAX_COCHAINS:
+            raise ValueError(
+                f"{dim << top} cochains (dim V = {dim}, |n| = {top}) exceed "
+                f"the limit MAX_COCHAINS = {MAX_COCHAINS}"
+            )
         # bases[q]: weight -> list of (module index, sorted tuple of root indices)
         self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
         # label key mask * dim + j (mask: the subset as bits) -> the number of
@@ -292,17 +302,11 @@ class CohomologyTable:
         if not isinstance(other, CohomologyTable):
             return NotImplemented
         n = max(len(self.degrees), len(other.degrees))
-        for q in range(n):
-            a = self.degrees[q] if q < len(self.degrees) else {}
-            b = other.degrees[q] if q < len(other.degrees) else {}
-            if a != b:
-                return False
-        return True
+        mine, theirs = (t.degrees + [{}] * (n - len(t.degrees)) for t in (self, other))
+        return mine == theirs
 
     def to_json_obj(self) -> dict:
-        def fmt_a(key):
-            return [str(x) for x in key]
-
+        a_degrees = self.a_degrees()
         return {
             "degrees": [
                 {
@@ -312,8 +316,8 @@ class CohomologyTable:
                         {"w": list(w), "dim": d} for w, d in sorted(table.items())
                     ],
                     "a_weights": [
-                        {"lambda": fmt_a(k), "dim": d}
-                        for k, d in sorted(self.a_degrees()[q].items())
+                        {"lambda": [str(x) for x in k], "dim": d}
+                        for k, d in sorted(a_degrees[q].items())
                     ],
                 }
                 for q, table in enumerate(self.degrees)
@@ -376,32 +380,35 @@ class ChainComplex(CEComplex):
 
 
 def homology_table(
-    split: ParabolicSplit, mod: WeightModule
+    split: ParabolicSplit, mod: WeightModule, coh: CohomologyTable | None = None
 ) -> tuple[CohomologyTable, bool]:
     """Homology dimensions plus the duality flag: the graded character of H_p
-    must equal that of H^{top-p} shifted by the ∧^top n weight."""
+    must equal that of H^{top-p} shifted by the ∧^top n weight.  `coh` is the
+    cohomology table of (split, mod), computed here if not given."""
     chains = ChainComplex(split, mod)
     if not chains.verify_complex():
         raise AssertionError("boundary does not square to zero")
     hom = chains.table()
-    coh = cohomology_table(build_ce_complex(split, mod))
+    if coh is None:
+        coh = cohomology_table(build_ce_complex(split, mod))
     top_weight = (0,) * split.datum.rank
     for r in split.n_roots:
         top_weight = _add(top_weight, r)
     top = len(split.n_roots)
-    holds = True
-    for p in range(top + 1):
-        shifted = {
-            _add(wt, top_weight): d for wt, d in coh.degrees[top - p].items()
-        }
-        if shifted != hom.degrees[p]:
-            holds = False
-            break
+    holds = all(
+        {_add(wt, top_weight): d for wt, d in coh.degrees[top - p].items()} == hom.degrees[p]
+        for p in range(top + 1)
+    )
     return hom, holds
 
 
-def euler_character_check(cx: CEComplex) -> bool:
-    """Σ_q (-1)^q ch H^q = ch V · Π_{α in n} (1 - x^{-α}), exactly."""
-    n_dual = LaurentCharacter.from_weights(cx.split.datum.rank, map(_neg, cx.n_roots))
-    rhs = cx.module.character() * alternating_exterior_sum(n_dual)
-    return cohomology_table(cx).euler_character() == rhs
+def euler_character_check(
+    split: ParabolicSplit, mod: WeightModule, table: CohomologyTable | None = None
+) -> bool:
+    """Σ_q (-1)^q ch H^q = ch V · Π_{α in n} (1 - x^{-α}), exactly.  `table`
+    is the cohomology table of (split, mod), computed here if not given."""
+    n_dual = LaurentCharacter.from_weights(split.datum.rank, map(_neg, split.n_roots))
+    rhs = mod.character() * alternating_exterior_sum(n_dual)
+    if table is None:
+        table = cohomology_table(build_ce_complex(split, mod))
+    return table.euler_character() == rhs

@@ -293,13 +293,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
-from .cohomology import build_ce_complex, cohomology_table, ChainComplex
+from .cohomology import ChainComplex, CohomologyTable, build_ce_complex, cohomology_table
 from .euler import trivial_multiplicity
 from .exact import (
     LaurentCharacter,
@@ -208,23 +208,17 @@ def det_identity_check(n_weights, point) -> bool:
     the point is read on the refined lattice (point_j = t_j^{1/L})."""
     weights = [tuple(Fraction(c) for c in w) for w in n_weights]
     point = [Fraction(c) for c in point]
-    denom = 1
-    for w in weights:
-        for c in w:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    values = []
-    for w in weights:
-        v = Fraction(1)
-        for c, p in zip(w, point):
-            e = int(c * denom)
-            v *= p**e
-        values.append(v)
-    lhs = Fraction(0)
-    for r in range(len(values) + 1):
-        e_r = sum(
-            (math.prod(c) for c in combinations(values, r)), Fraction(0)
-        ) if r else Fraction(1)
-        lhs += (-1) ** r * e_r
+    denom = math.lcm(*(c.denominator for w in weights for c in w))
+    values = [
+        math.prod((p ** int(c * denom) for c, p in zip(w, point)), start=Fraction(1))
+        for w in weights
+    ]
+    # sum_r (-1)^r e_r(values), e_r the elementary symmetric functions
+    lhs = sum(
+        (-1) ** r * math.prod(c, start=Fraction(1))
+        for r in range(len(values) + 1)
+        for c in combinations(values, r)
+    )
     rhs = math.prod(((1 - v) for v in values), start=Fraction(1))
     return lhs == rhs
 
@@ -252,9 +246,7 @@ def spectral_term(
         # group the h-weights of H^q by restricted a-weight
         blocks: dict[AWeight, dict[Weight, int]] = {}
         for wt, d in degree.items():
-            key = split.restrict_to_a(wt)
-            blocks.setdefault(key, {})
-            blocks[key][wt] = blocks[key].get(wt, 0) + d
+            blocks.setdefault(split.restrict_to_a(wt), {})[wt] = d
         for lam, terms in blocks.items():
             h_ch = LaurentCharacter(datum.rank, terms)
             for p in range(p_ch.dimension() + 1):
@@ -308,13 +300,18 @@ def am_tilde_membership(a_eigs_on_nbar, m_eigs_on_g) -> tuple[bool, float]:
 # Character identity of the split restriction
 
 
-def hecht_schmid_check(mod: WeightModule, split: ParabolicSplit) -> bool:
+def hecht_schmid_check(
+    mod: WeightModule, split: ParabolicSplit, table: CohomologyTable | None = None
+) -> bool:
     """ch(V) * prod_{alpha in n}(1 - x^alpha) = sum_p (-1)^p ch H_p(n, V),
     exactly as Laurent characters on the full Cartan (the chain convention
-    of the homology boundary fixes the orientation)."""
+    of the homology boundary fixes the orientation).  `table` is the homology
+    table of (split, mod), computed here if not given."""
     n_char = LaurentCharacter.from_weights(split.datum.rank, split.n_roots)
     lhs = mod.character() * alternating_exterior_sum(n_char)
-    return lhs == ChainComplex(split, mod).table().euler_character()
+    if table is None:
+        table = ChainComplex(split, mod).table()
+    return lhs == table.euler_character()
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,8 @@ def integrate_testfn(phi: TestFunction, lam) -> float:
             if e == 0:
                 piece *= u - t
             else:
-                piece *= (math.exp(e * u) - math.exp(e * t)) / e
+                # e^{eT} (e^{e(U-T)} - 1) / e: no cancellation as e -> 0
+                piece *= math.exp(e * t) * math.expm1(e * (u - t)) / e
         total += piece
     return total
 
@@ -357,16 +355,17 @@ def balance_evaluator(
             raise ValueError("need either explicit n-weights or a split")
         n_weights = [split.restrict_to_a(r) for r in split.n_roots]
     table = spec.combined()
-    global_side = 0.0
-    for lam, m in table.terms.items():
-        # a^lambda = exp(<lambda, a_log>) = exp(<-lambda, t>) on the boxes
-        global_side += m * integrate_testfn(phi, [-c for c in lam])
-    local_side = complex(0.0)
-    for i, rec in enumerate(ledger):
-        mult = None
-        if multipliers_per_record is not None:
-            mult = multipliers_per_record[i]
-        c_gamma = geometric_term(rec, n_weights, mult)
-        point = tuple(-x for x in rec.a_log)
-        local_side += c_gamma * phi.evaluate(point)
+    # a^lambda = exp(<lambda, a_log>) = exp(<-lambda, t>) on the boxes
+    global_side = math.fsum(
+        m * integrate_testfn(phi, [-c for c in lam]) for lam, m in table.terms.items()
+    )
+    if multipliers_per_record is None:
+        multipliers_per_record = [None] * len(ledger)
+    local_terms = [
+        geometric_term(rec, n_weights, mult) * phi.evaluate(tuple(-x for x in rec.a_log))
+        for rec, mult in zip(ledger, multipliers_per_record, strict=True)
+    ]
+    local_side = complex(
+        math.fsum(z.real for z in local_terms), math.fsum(z.imag for z in local_terms)
+    )
     return global_side, local_side, global_side - local_side

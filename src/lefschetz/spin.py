@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    ExactMatrix,
     LaurentCharacter,
     Weight,
     alternating_exterior_sum,
@@ -116,26 +115,22 @@ def clifford_action(space: PolarizedSpace, gen: GenLabel, s: int) -> dict[int, i
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def clifford_matrix(space: PolarizedSpace, gen: GenLabel) -> ExactMatrix:
-    n = 1 << space.m
-    out = ExactMatrix(n, n)
-    for s in range(n):
-        for t, c in clifford_action(space, gen, s).items():
-            out[t, s] = c
-    return out
-
-
 def clifford_relation_check(space: PolarizedSpace) -> bool:
-    """x·y + y·x = -2 q(x,y) on all generator pairs, exactly."""
+    """x(y(s)) + y(x(s)) = -2 q(x,y) s for every ordered generator pair and
+    every basis bitmask s, with integer coefficients: two linear maps are
+    equal exactly when they agree on a basis."""
     gens = space.generators()
-    mats = {g: clifford_matrix(space, g) for g in gens}
-    n = 1 << space.m
     for x in gens:
         for y in gens:
-            anti = mats[x] @ mats[y] + mats[y] @ mats[x]
-            expected = ExactMatrix.identity(n).scale_by(-2 * space.pairing(x, y))
-            if anti != expected:
-                return False
+            expected = -2 * space.pairing(x, y)
+            for s in range(1 << space.m):
+                anti: dict[int, int] = {}
+                for a, b in ((x, y), (y, x)):
+                    for t, c in clifford_action(space, b, s).items():
+                        for u, d in clifford_action(space, a, t).items():
+                            anti[u] = anti.get(u, 0) + c * d
+                if anti.pop(s, 0) != expected or any(anti.values()):
+                    return False
     return True
 
 

@@ -17,55 +17,77 @@ from fractions import Fraction
 
 from . import algebra, cohomology, euler, formula, roots, spin
 
-# The Clifford check multiplies dense 2^m x 2^m matrices for every pair of the
-# 2m generators; larger m is refused before any matrix is built.
+# Largest half-dimension of the spin checks.  Measured with Python 3.11 on one
+# Xeon vCPU: at m = 8 the Clifford check takes 0.15 s and the spin square
+# 0.26 s; at m = 10 they take 1.1 s and 3.5 s.
 MAX_SPIN_M = 8
 
 
 class Sweep:
-    """Root data with their algebras, highest-weight modules and Levi splits,
-    each built once and kept as long as the object: one verification run."""
+    """Root data with their algebras, highest-weight modules, Levi splits and
+    the cochain and chain tables of each (split, lambda) point, each built
+    once and kept as long as the object: one verification run.  A complex
+    lives only while its table and its d^2 verdict are computed."""
 
     def __init__(self, dim_bound: int = algebra.DIMENSION_BOUND):
         self.dim_bound = dim_bound
-        self._algebras = {}  # label -> (datum, algebra)
-        self._modules = {}  # (label, lambda) -> module
-        self._splits = {}  # (label, levi) -> split
+        # (kind, label, ...) -> what build() returned for it
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def chevalley(self, label):
-        if label not in self._algebras:
-            datum = roots.build_root_system(label)
-            self._algebras[label] = datum, algebra.build_chevalley_algebra(datum)
-        return self._algebras[label]
+        """(datum, algebra)"""
+        datum = self._once(("datum", label), lambda: roots.build_root_system(label))
+        return datum, self._once(
+            ("algebra", label), lambda: algebra.build_chevalley_algebra(datum)
+        )
 
     def module(self, label, lam):
-        key = (label, lam)
-        if key not in self._modules:
-            alg = self.chevalley(label)[1]
-            self._modules[key] = algebra.highest_weight_module(
-                alg, lam, dim_bound=self.dim_bound
-            )
-        return self._modules[key]
+        alg = self.chevalley(label)[1]
+        return self._once(
+            ("module", label, lam),
+            lambda: algebra.highest_weight_module(alg, lam, dim_bound=self.dim_bound),
+        )
 
     def splits(self, label):
         """(datum, split) for every Levi subset, in the order of its bit mask."""
         datum, alg = self.chevalley(label)
         for bits in range(1 << datum.rank):
             levi = frozenset(i for i in range(datum.rank) if bits >> i & 1)
-            if (label, levi) not in self._splits:
-                self._splits[label, levi] = algebra.parabolic_split(alg, levi)
-            yield datum, self._splits[label, levi]
+            yield datum, self._once(
+                ("split", label, levi), lambda: algebra.parabolic_split(alg, levi)
+            )
+
+    def cochains(self, split, lam, mod):
+        """(d^2 = 0, cohomology table) of the CE complex at one point."""
+
+        def build():
+            cx = cohomology.build_ce_complex(split, mod)
+            return cx.verify_complex(), cohomology.cohomology_table(cx)
+
+        return self._once(("cochains", split.datum.label, split.levi, lam), build)
+
+    def chains(self, split, lam, mod):
+        """(homology table, duality flag) at one point."""
+        return self._once(
+            ("chains", split.datum.label, split.levi, lam),
+            lambda: cohomology.homology_table(split, mod, self.cochains(split, lam, mod)[1]),
+        )
 
     def first_failure(self, cfg, holds):
         """The first point of the sweep (every type, every Levi subset, every
         dominant lambda with coordinates <= max_coord) at which
-        holds(datum, split, lambda, module) is false, as {type, levi, weight};
-        None if there is none."""
+        holds(sweep, datum, split, lambda, module) is false, as {type, levi,
+        weight}; None if there is none."""
         max_coord = _at_least("max_coord", cfg["max_coord"], 0)
         for label in cfg["types"]:
             for datum, split in self.splits(label):
                 for lam in itertools.product(range(max_coord + 1), repeat=datum.rank):
-                    if not holds(datum, split, lam, self.module(label, lam)):
+                    if not holds(self, datum, split, lam, self.module(label, lam)):
                         return {
                             "type": datum.label,
                             "levi": sorted(split.levi),
@@ -107,38 +129,35 @@ def _jacobi(cfg, sweep):
 
 
 def _on_sweep(holds):
-    """The check that holds(datum, split, lambda, module) on the whole sweep."""
+    """The check that holds(sweep, datum, split, lambda, module) on the whole
+    sweep."""
     return lambda cfg, sweep: sweep.first_failure(cfg, holds)
 
 
 @_on_sweep
-def _d2(datum, split, lam, mod):
-    return cohomology.build_ce_complex(split, mod).verify_complex()
+def _d2(sweep, datum, split, lam, mod):
+    return sweep.cochains(split, lam, mod)[0]
 
 
 @_on_sweep
-def _kostant(datum, split, lam, mod):
-    table = cohomology.cohomology_table(cohomology.build_ce_complex(split, mod))
+def _kostant(sweep, datum, split, lam, mod):
+    table = sweep.cochains(split, lam, mod)[1]
     return table == cohomology.kostant_prediction(datum, split, lam)
 
 
 @_on_sweep
-def _euler(datum, split, lam, mod):
-    return cohomology.euler_character_check(cohomology.build_ce_complex(split, mod))
+def _euler(sweep, datum, split, lam, mod):
+    return cohomology.euler_character_check(split, mod, sweep.cochains(split, lam, mod)[1])
 
 
 @_on_sweep
-def _duality(datum, split, lam, mod):
-    return cohomology.homology_table(split, mod)[1]
+def _duality(sweep, datum, split, lam, mod):
+    return sweep.chains(split, lam, mod)[1]
 
 
-def _hechtschmid(cfg, sweep):
-    """Runs on the A1 and A2 types of the sweep, or on both if it has none."""
-    types = [t for t in cfg["types"] if t in ("A1", "A2")] or ["A1", "A2"]
-    return sweep.first_failure(
-        {**cfg, "types": types},
-        lambda datum, split, lam, mod: formula.hecht_schmid_check(mod, split),
-    )
+@_on_sweep
+def _hechtschmid(sweep, datum, split, lam, mod):
+    return formula.hecht_schmid_check(mod, split, sweep.chains(split, lam, mod)[0])
 
 
 def _det(cfg, sweep):

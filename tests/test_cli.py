@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from lefschetz import algebra, cohomology, spin
+from lefschetz import algebra, cohomology, formula, spin
 from lefschetz.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAIL, main
 from lefschetz.verify import MAX_SPIN_M
 
@@ -213,6 +213,16 @@ class TestErrorPaths:
             code, _ = run(capsys, "verify", check, "--max-m", str(MAX_SPIN_M + 1))
             assert code == EXIT_BAD_INPUT
 
+    def test_cochain_limit_refused_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cochain subset was enumerated")
+
+        monkeypatch.setattr(cohomology, "combinations", refuse)
+        code = main(["cohomology", "--type", "E6", "--weight", "0,0,0,0,0,0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT and captured.out == ""
+        assert f"MAX_COCHAINS = {cohomology.MAX_COCHAINS}" in captured.err
+
 
 class TestVerify:
     def test_single_check_passes(self, capsys):
@@ -276,6 +286,17 @@ class TestVerify:
         assert entry["pass"] is False
         assert entry["counterexample"] == {"type": "A1", "levi": [], "weight": [0]}
 
+    def test_hechtschmid_runs_on_the_requested_types(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            formula,
+            "hecht_schmid_check",
+            lambda mod, split, table=None: split.datum.label != "B2",
+        )
+        code, obj = run(capsys, "verify", "hechtschmid", "--types", "B2", "--max-coord", "0")
+        assert code == EXIT_VERIFY_FAIL
+        [entry] = obj["suite"]
+        assert entry["counterexample"] == {"type": "B2", "levi": [], "weight": [0, 0]}
+
     def test_each_module_and_split_built_once_per_run(self, capsys, monkeypatch):
         modules, splits = Counter(), Counter()
         build_module = algebra.highest_weight_module
@@ -304,6 +325,30 @@ class TestVerify:
             assert code == EXIT_OK and obj["summary"]["failed"] == 0
             assert modules == {key: runs for key in expected_modules}
             assert splits == {key: runs for key in expected_splits}
+
+    def test_each_complex_built_and_ranked_once_per_run(self, capsys, monkeypatch):
+        built, ranked = Counter(), Counter()
+        build = cohomology.build_ce_complex
+        rank = cohomology.cohomology_table
+
+        def counting_build(split, mod):
+            built[split.datum.label, split.levi, mod.highest_weight] += 1
+            return build(split, mod)
+
+        def counting_rank(cx):
+            point = cx.split.datum.label, cx.split.levi, cx.module.highest_weight
+            ranked[point, cx.step] += 1
+            return rank(cx)
+
+        monkeypatch.setattr(cohomology, "build_ce_complex", counting_build)
+        monkeypatch.setattr(cohomology, "cohomology_table", counting_rank)
+        code, obj = run(capsys, "verify", "all", "--types", "A1,A2", "--max-coord", "1",
+                        "--max-m", "2", "--max", "4", "--points", "5")
+        assert code == EXIT_OK and obj["summary"]["failed"] == 0
+        # 2 Levi subsets x 2 weights for A1, 4 x 4 for A2
+        assert len(built) == 20 and set(built.values()) == {1}
+        # cochains (step 1) and chains (step -1) are each ranked once
+        assert ranked == {(point, step): 1 for point in built for step in (1, -1)}
 
     def test_deterministic_output(self, capsys):
         args = ["verify", "chitransfer", "--seed", "5"]

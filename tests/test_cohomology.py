@@ -188,11 +188,11 @@ class TestHomologyAndEuler:
     def test_euler_character_examples(self):
         for lam in ((0,), (2,)):
             _, split, mod = setup("A1", set(), lam)
-            assert euler_character_check(build_ce_complex(split, mod))
+            assert euler_character_check(split, mod)
 
     def test_euler_character_b2(self):
         _, split, mod = setup("B2", {1}, (1, 1))
-        assert euler_character_check(build_ce_complex(split, mod))
+        assert euler_character_check(split, mod)
 
 
 def dense(block):

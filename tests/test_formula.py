@@ -212,6 +212,13 @@ class TestIntegration:
         expected = 2.0 * 1.0 * (math.exp(-0.5) - math.exp(-1.5))
         assert abs(integrate_testfn(phi, (Fraction(0), Fraction(0))) - expected) < 1e-14
 
+    @pytest.mark.parametrize("e", [1e-12, 1e-15])
+    def test_small_exponent_is_stable(self, e):
+        # on [0.5, 2] the integral of exp(e t) is 1.5 + 1.875 e + O(e^2); the
+        # stated error bound is 1e-15, about four units in the last place of 1.5
+        phi = box_fn(box=((0.5, 2.0),))
+        assert abs(integrate_testfn(phi, (Fraction(e),)) - (1.5 + 1.875 * e)) < 1e-15
+
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
             box_fn(box=((-1.0, 2.0),))

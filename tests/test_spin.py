@@ -1,19 +1,33 @@
 """Clifford action on the spin module and the two character identities."""
 
+import json
+
 import pytest
 
-from lefschetz.exact import LaurentCharacter
+from lefschetz import spin
+from lefschetz.cli import EXIT_VERIFY_FAIL, main
+from lefschetz.exact import ExactMatrix, LaurentCharacter
 from lefschetz.spin import (
     PolarizedSpace,
     SpinModule,
     clifford_action,
-    clifford_matrix,
     clifford_relation_check,
     epsilon_twist_check,
     full_space_character,
     half_spin_characters,
     verify_spin_square,
 )
+
+
+def dense(sp, gen):
+    """The 2^m x 2^m matrix of a generator, column s the image of bitmask s;
+    an independent dense cross-check of the bitmask Clifford check."""
+    n = 1 << sp.m
+    out = ExactMatrix(n, n)
+    for s in range(n):
+        for t, c in clifford_action(sp, gen, s).items():
+            out[t, s] = c
+    return out
 
 
 class TestPolarizedSpace:
@@ -58,7 +72,7 @@ class TestCliffordAction:
 
     def test_wedge_square_zero(self):
         sp = PolarizedSpace(2)
-        m = clifford_matrix(sp, ("vhat", 1))
+        m = dense(sp, ("vhat", 1))
         assert (m @ m).is_zero()
 
     def test_koszul_signs(self):
@@ -74,12 +88,38 @@ class TestCliffordAction:
     def test_generator_squares(self):
         sp = PolarizedSpace(3)
         for gen in sp.generators():
-            m = clifford_matrix(sp, gen)
+            m = dense(sp, gen)
             assert (m @ m).is_zero()  # -q(x) = 0 on isotropic generators
 
     def test_clifford_relation_through_m6(self):
         for m in range(1, 7):
             assert clifford_relation_check(PolarizedSpace(m))
+
+    def test_dense_anticommutators_through_m3(self):
+        for m in range(1, 4):
+            sp = PolarizedSpace(m)
+            identity = ExactMatrix.identity(1 << m)
+            for x in sp.generators():
+                for y in sp.generators():
+                    # x.y + y.x = -2 q(x, y), as x.y = -2 q(x, y) - y.x
+                    expected = identity.scale_by(-2 * sp.pairing(x, y))
+                    assert dense(sp, x) @ dense(sp, y) == expected - dense(sp, y) @ dense(sp, x)
+
+    def test_wrong_contraction_coefficient_fails(self, capsys, monkeypatch):
+        # contraction with coefficient 1: x.y + y.x = -q(x,y), not -2q(x,y)
+        right = spin.clifford_action
+
+        def halved(space, gen, s):
+            out = right(space, gen, s)
+            return {t: c // 2 for t, c in out.items()} if gen[0] == "v" else out
+
+        monkeypatch.setattr(spin, "clifford_action", halved)
+        for m in range(1, 4):
+            assert not clifford_relation_check(PolarizedSpace(m))
+        code = main(["verify", "spin", "--max-m", "3"])
+        [entry] = json.loads(capsys.readouterr().out)["suite"]
+        assert code == EXIT_VERIFY_FAIL
+        assert entry["counterexample"] == {"m": 1, "failure": "clifford relation"}
 
     def test_even_part_preserved_by_generator_pairs(self):
         for m in range(1, 5):
@@ -88,7 +128,7 @@ class TestCliffordAction:
             even = set(mod.plus_part)
             for x in sp.generators():
                 for y in sp.generators():
-                    prod = clifford_matrix(sp, x) @ clifford_matrix(sp, y)
+                    prod = dense(sp, x) @ dense(sp, y)
                     for s in even:
                         for t in range(mod.dimension):
                             if prod[t, s] != 0:
