@@ -1,9 +1,10 @@
 """Command-line driver: JSON emitters for every computation plus a one-shot
 verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.  All output
-is JSON with sorted keys; rationals are rendered as "p/q" strings.  The
-environment variable LEF_MAX_DIM overrides the module-dimension cap.
+Exit codes: 0 success, 1 verification failure (a broken invariant is
+reported as {"error": ...}), 2 malformed input.  All output is JSON with
+sorted keys; rationals are rendered as "p/q" strings.  The environment
+variable LEF_MAX_DIM overrides the module-dimension cap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import algebra, cohomology, euler, formula, roots, verify
-from .exact import LaurentCharacter
+from .exact import InvariantError, LaurentCharacter
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -105,10 +106,10 @@ def cmd_module(args) -> int:
         ],
     }
     if args.actions:
-        obj["action"] = {
-            repr(lab): [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-            for lab, m in sorted(mod.action.items(), key=lambda kv: repr(kv[0]))
-        }
+        obj["action"] = {}
+        for lab, m in mod.action.items():  # sparse; dense only here, for printing
+            d = m.dense()
+            obj["action"][repr(lab)] = [[str(x) for x in d.row(i)] for i in range(d.rows)]
     _emit(obj)
     return EXIT_OK
 
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InvariantError as e:
+        _emit({"error": str(e)})
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

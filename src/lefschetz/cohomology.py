@@ -17,7 +17,8 @@ from itertools import combinations
 from math import lcm
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
-from .exact import LaurentCharacter, SparseMatrix, Weight, alternating_exterior_sum, flat
+from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
+from .exact import alternating_exterior_sum, flat, pairs
 from .roots import RootDatum
 
 
@@ -88,7 +89,7 @@ def weight_multiplicities(datum: RootDatum, lam, levi=None) -> dict[Weight, int]
                 continue
             val = rhs / denom
             if val.denominator != 1 or val < 0:
-                raise AssertionError(
+                raise InvariantError(
                     f"Freudenthal multiplicity {val} of {mu} is not a natural number"
                 )
             if val:
@@ -171,24 +172,24 @@ class CEComplex:
                     labels.append((j, subset))
             self.bases.append(blocks)
         # each e_k read once, as sparse integer columns act[k][j] = [(j', entry)]
-        actions = [mod.action[("e", r)].entries for r in self.n_roots]
-        self.scale = lcm(*{c.denominator for entries in actions for c in entries})
-        act = [[[] for _ in range(dim)] for _ in actions]
-        for k, entries in enumerate(actions):
-            for idx, c in enumerate(entries):
-                if c:
-                    act[k][idx % dim].append((idx // dim, int(c * self.scale)))
-        # pairs[g]: (a, b, N) with a < b and [e_a, e_b] = N e_g, N != 0
+        actions = [mod.action[("e", r)].columns for r in self.n_roots]
+        entries = [c for cols in actions for col in cols for _, c in pairs(col)]
+        self.scale = lcm(*{c.denominator for c in entries})
+        act = [
+            [[(jp, int(c * self.scale)) for jp, c in pairs(col)] for col in cols]
+            for cols in actions
+        ]
+        # brackets[g]: (a, b, N) with a < b and [e_a, e_b] = N e_g, N != 0
         sc = split.algebra.constants
         n_index = {r: k for k, r in enumerate(self.n_roots)}
-        pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(top)]
+        brackets: list[list[tuple[int, int, int]]] = [[] for _ in range(top)]
         for a, b in combinations(range(top), 2):
             g = n_index.get(_add(self.n_roots[a], self.n_roots[b]))
             nval = sc.n(self.n_roots[a], self.n_roots[b]) if g is not None else 0
             if nval:
-                pairs[g].append((a, b, nval))
+                brackets[g].append((a, b, nval))
         self.differentials: list[dict[Weight, SparseMatrix]] = [
-            self._differential(q, block, position, act, pairs)
+            self._differential(q, block, position, act, brackets)
             for q in range(top + 1)
         ]
 
@@ -198,7 +199,7 @@ class CEComplex:
         return sum(len(v) for v in self.bases[q].values())
 
     def _differential(
-        self, q, block, position, act, pairs
+        self, q, block, position, act, brackets
     ) -> dict[Weight, SparseMatrix]:
         """Blocks of the map from degree q to degree q + step."""
         s = min(q, q + self.step)  # the degree of the smaller subsets
@@ -212,7 +213,7 @@ class CEComplex:
             src, dst = (small, big) if self.step > 0 else (big, small)
             src, dst = src * dim + j, dst * dim + jp
             if dst_weights[block[dst]] != src_weights[block[src]]:
-                raise AssertionError("the map does not preserve the weight")
+                raise InvariantError("the map does not preserve the weight")
             entries = cols[block[src]][position[src]]
             v = entries.pop(position[dst], 0) + c
             if v:
@@ -233,7 +234,7 @@ class CEComplex:
                 if not small >> g & 1:
                     continue
                 rest = small ^ (1 << g)
-                for a, b, nval in pairs[g]:
+                for a, b, nval in brackets[g]:
                     if rest & (1 << a | 1 << b):
                         continue
                     big = rest | (1 << a) | (1 << b)
@@ -387,7 +388,7 @@ def homology_table(
     cohomology table of (split, mod), computed here if not given."""
     chains = ChainComplex(split, mod)
     if not chains.verify_complex():
-        raise AssertionError("boundary does not square to zero")
+        raise InvariantError("boundary does not square to zero")
     hom = chains.table()
     if coh is None:
         coh = cohomology_table(build_ce_complex(split, mod))

@@ -19,6 +19,11 @@ Scalar = Fraction
 Weight = tuple[int, ...]
 
 
+class InvariantError(AssertionError):
+    """A structural identity does not hold.  Raised explicitly, so that it
+    survives `python -O`; an AssertionError, for callers that expect one."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -293,13 +298,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
     def scale_by(self, c) -> "ExactMatrix":
         c = _as_fraction(c)
         return ExactMatrix(self.rows, self.cols, [c * x for x in self.entries])
@@ -336,9 +334,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def trace(self) -> Fraction:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), Fraction(0))
 
     def rank(self) -> int:
         return rank_and_kernel(self)[0]
@@ -380,14 +375,34 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for col in other.columns:
-            acc: dict[int, Fraction | int] = {}
-            for k, a in pairs(col):
-                for i, b in pairs(self.columns[k]):
-                    acc[i] = acc.get(i, 0) + a * b
-            out.append(flat({i: v for i, v in acc.items() if v}))
-        return SparseMatrix(self.rows, out)
+        return SparseMatrix(self.rows, [flat(image(self.columns, b)) for b in other.columns])
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        # column j: the two columns a_j, b_j applied to the vector (1, -1)
+        diff = (0, 1, 1, -1)
+        return SparseMatrix(
+            self.rows, [flat(image(ab, diff)) for ab in zip(self.columns, other.columns)]
+        )
+
+    def scale_by(self, c) -> "SparseMatrix":
+        cols = [flat({i: v * c for i, v in pairs(col)}) for col in self.columns]
+        return SparseMatrix(self.rows, cols if c else [()] * self.cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            dict(pairs(a)) == dict(pairs(b)) for a, b in zip(self.columns, other.columns)
+        )
+
+    def dense(self) -> ExactMatrix:
+        out = ExactMatrix(self.rows, self.cols)
+        for j, col in enumerate(self.columns):
+            for i, v in pairs(col):
+                out[i, j] = v
+        return out
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -407,6 +422,16 @@ def pairs(column: tuple) -> Iterable[tuple[int, Fraction | int]]:
 def flat(entries: Mapping[int, Fraction | int]) -> tuple:
     """The flat column tuple of a row -> nonzero entry mapping."""
     return tuple(chain.from_iterable(entries.items()))
+
+
+def image(columns: Sequence[tuple], column: tuple) -> dict[int, Fraction | int]:
+    """Row -> nonzero entry of the matrix with these flat columns applied to
+    one flat column."""
+    acc: dict[int, Fraction | int] = {}
+    for k, a in pairs(column):
+        for i, b in pairs(columns[k]):
+            acc[i] = acc.get(i, 0) + a * b
+    return {i: v for i, v in acc.items() if v}
 
 
 def echelon(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix, Weight
+from .exact import ExactMatrix, InvariantError, Weight
 
 WEYL_ORDER_BOUND = 10**6
 
@@ -90,7 +90,8 @@ def _symmetrizer(A: list[list[int]]) -> list[Fraction]:
                     # a_ij d_j = a_ji d_i
                     d[j] = d[i] * A[j][i] / A[i][j]
                     changed = True
-    assert all(x is not None for x in d)
+    if None in d:
+        raise InvariantError("the Cartan matrix is not connected")
     m = min(d)  # type: ignore[type-var]
     return [x / m for x in d]  # type: ignore[union-attr]
 
@@ -299,7 +300,8 @@ class RootDatum:
             num *= self.inner(lam_rho, alpha)
             den *= self.inner(self.rho, alpha)
         val = num / den
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantError(f"nonintegral Weyl dimension {val} of {lam}")
         return int(val)
 
     def dot_action(self, w: WeylElement, lam: Weight) -> Weight:

@@ -1,6 +1,7 @@
 """Chevalley algebras, parabolic splits, modules, Killing form and Casimir."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from lefschetz.algebra import (
     highest_weight_module,
     parabolic_split,
 )
-from lefschetz.exact import ExactMatrix
+from lefschetz.exact import InvariantError, SparseMatrix
 from lefschetz.roots import build_root_system
 from lefschetz.verify import CHECKS, Sweep
 
@@ -61,6 +62,33 @@ class TestBrackets:
     def test_jacobi(self):
         cfg = {"types": ("A1", "A2", "B2", "G2")}
         assert CHECKS["jacobi"](cfg, Sweep()) is None
+
+    def test_nonintegral_constant_survives_optimize_flag(self):
+        """Under python -O a structure constant made nonintegral by a wrong
+        root norm still raises InvariantError, and `lef` reports it as exit 1
+        with a JSON error payload and no traceback."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from lefschetz import cli, roots
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            norm = roots.RootDatum.weight_norm
+            roots.RootDatum.weight_norm = lambda self, lam: norm(self, lam) + 1
+            sys.exit(cli.main(["module", "--type", "G2", "--weight", "0,0"]))
+            """
+        )
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error.startswith("nonintegral structure constant")
+        assert issubclass(InvariantError, AssertionError)
 
 
 class TestKillingForm:
@@ -147,7 +175,8 @@ class TestModules:
         alg = algebra("A2")
         mod = highest_weight_module(alg, (0, 0))
         assert mod.dimension == 1
-        assert all(m.is_zero() for lab, m in mod.action.items() if lab[0] != "h")
+        zero = SparseMatrix(1, [()])
+        assert all(m == zero for lab, m in mod.action.items() if lab[0] != "h")
 
     def test_a1_dimensions(self):
         alg = algebra("A1")
@@ -173,10 +202,9 @@ class TestModules:
             for x in alg.basis:
                 for y in alg.basis:
                     commutator = mod.action[x] @ mod.action[y] - mod.action[y] @ mod.action[x]
-                    expected = ExactMatrix(mod.dimension, mod.dimension)
+                    expected = SparseMatrix(mod.dimension, [()] * mod.dimension)
                     for z, c in alg.bracket(x, y).items():
-                        for i, v in enumerate(mod.action[z].entries):
-                            expected.entries[i] += c * v
+                        expected = expected - mod.action[z].scale_by(-c)
                     assert commutator == expected, (label, lam, x, y)
 
     def test_character_weyl_invariant(self):

@@ -1,5 +1,6 @@
 """Command-line entry point: JSON outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,6 +36,20 @@ class TestPlainCommands:
         code, obj = run(capsys, "module", "--type", "A1", "--weight", "1", "--actions")
         assert code == EXIT_OK
         assert any(lab.startswith("('h'") for lab in obj["action"])
+
+    @pytest.mark.parametrize(
+        "label, weight, digest",
+        [
+            ("B2", "1,1", "892d147642ef0ddf56e5340ca464fe0bac186710592ef46f570a7819dffbd117"),
+            ("G2", "1,0", "2a9f53877bb37a1d1d1a667a47fbbdb69eec63785f34b5bf7b670c505f2d08c4"),
+        ],
+        ids=["B2", "G2"],
+    )
+    def test_module_actions_pinned(self, capsys, label, weight, digest):
+        """The printed action matrices, byte for byte, as the dense builder
+        printed them."""
+        assert main(["module", "--type", label, "--weight", weight, "--actions"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_cohomology(self, capsys):
         code, obj = run(capsys, "cohomology", "--type", "A1", "--weight", "0")

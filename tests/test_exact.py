@@ -15,6 +15,7 @@ from lefschetz.exact import (
     character_product,
     exterior_power_character,
     flat,
+    pairs,
     rank_and_kernel,
 )
 
@@ -230,3 +231,41 @@ def test_rank_invariant_under_column_permutation(mat, rng):
     assert rank + len(kernel) == mat.cols == rank + len(permuted_kernel)
     for v in kernel + permuted_kernel:
         assert all(x == 0 for x in mat.apply(v))
+
+
+def sparse(mat):
+    return SparseMatrix(
+        mat.rows,
+        [flat({i: mat[i, j] for i in range(mat.rows) if mat[i, j]}) for j in range(mat.cols)],
+    )
+
+
+@st.composite
+def sparse_operands(draw):
+    """A and B of one shape, C with as many rows as A has columns, a scalar."""
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+    def matrix(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return ExactMatrix.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    return matrix(n, m), matrix(n, m), matrix(m, p), draw(entry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_operands())
+def test_sparse_ops_agree_with_dense(operands):
+    """Product, difference, scaling and equality of sparse columns agree
+    with the dense matrices entry for entry, and store no zero entry."""
+    a, b, c, s = operands
+    sa, sb, sc = sparse(a), sparse(b), sparse(c)
+    results = (sa @ sc, sa - sb, sa.scale_by(s))
+    assert results[0].dense() == a @ c
+    assert results[1].dense().entries == [x - y for x, y in zip(a.entries, b.entries)]
+    assert results[2].dense() == a.scale_by(s)
+    assert all(v != 0 for m in results for col in m.columns for _, v in pairs(col))
+    assert (sa == sb) == (a == b)
+    reordered = [flat(dict(reversed(list(pairs(col))))) for col in sa.columns]
+    shuffled = SparseMatrix(a.rows, reordered)
+    assert shuffled == sa and sa - shuffled == SparseMatrix(a.rows, [()] * a.cols)
