@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
@@ -26,76 +27,58 @@ from .roots import RootDatum
 # Weight multiplicities via Freudenthal's recursion (independent oracle)
 
 
-def _half_sum(datum: RootDatum, roots) -> tuple[Fraction, ...]:
-    total = [Fraction(0)] * datum.rank
-    for r in roots:
-        for j, c in enumerate(r):
-            total[j] += Fraction(c, 2)
-    return tuple(total)
-
-
-def levi_positive_roots(datum: RootDatum, levi) -> list[Weight]:
-    """Positive roots supported on the given simple-root subset."""
-    levi = set(levi)
-    out = []
+def levi_form(datum: RootDatum, levi):
+    """Freudenthal's data for the subsystem on the `levi` simple roots: the
+    symmetrizer d, and each positive root a with its pairing vector p, p_j =
+    c_j(a) d_j for the simple-root coordinates c of a, so that (nu, a) =
+    sum_j p_j nu_j in fundamental coordinates, up to the form's scale."""
+    d = [int(x) for x in datum._d]
+    pos = []
     for r in datum.positive_roots:
         coords = datum.root_coordinates(r)
         if all(coords[i] == 0 for i in range(datum.rank) if i not in levi):
-            out.append(r)
-    return out
+            pos.append((r, tuple(int(c) * dj for c, dj in zip(coords, d))))
+    return d, pos
 
 
-def weight_multiplicities(datum: RootDatum, lam, levi=None) -> dict[Weight, int]:
+def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[Weight, int]:
     """Weight multiplicities of the irreducible module with highest weight lam
     for the (sub)system spanned by the `levi` simple roots (default: all),
-    computed by Freudenthal's recursion."""
-    if levi is None:
-        levi = range(datum.rank)
-    levi = sorted(set(levi))
+    computed by Freudenthal's recursion in integers.  `form` is
+    `levi_form(datum, levi)`, computed here if not given."""
+    levi = sorted(set(range(datum.rank) if levi is None else levi))
     lam = tuple(int(c) for c in lam)
     if any(lam[i] < 0 for i in levi):
         raise ValueError(f"weight {lam} is not dominant for the subsystem")
     if not levi:
         return {lam: 1}
-    pos = levi_positive_roots(datum, levi)
-    rho_l = _half_sum(datum, pos)
-
-    def shifted_norm(mu):
-        v = tuple(Fraction(a) + b for a, b in zip(mu, rho_l))
-        return datum.inner(v, v)
-
-    top = shifted_norm(lam)
+    d, pos = form or levi_form(datum, levi)
     mult: dict[Weight, int] = {lam: 1}
-    level = [lam]
+    # mu -> |lam + rho_L|^2 - |mu + rho_L|^2 = (lam - mu, lam + mu + 2 rho_L),
+    # which grows by (2 mu + 2 rho_L - alpha_i, alpha_i) = 2 d_i mu_i from mu to mu - alpha_i
+    level = {lam: 0}
     while level:
-        candidates = set()
-        for mu in level:
+        candidates = {}
+        for mu, gap in level.items():
             for i in levi:
-                candidates.add(_sub(mu, datum.simple_roots[i]))
-        nxt = []
-        for mu in sorted(candidates):
-            if mu in mult:
-                continue
-            rhs = Fraction(0)
-            for alpha in pos:
-                k = 1
+                candidates[_sub(mu, datum.simple_roots[i])] = gap + 2 * d[i] * mu[i]
+        level = {}
+        for mu, gap in sorted(candidates.items()):
+            rhs = 0
+            for alpha, p in pos:
                 nu = _add(mu, alpha)
                 while nu in mult:
-                    rhs += 2 * mult[nu] * datum.inner(nu, alpha)
-                    k += 1
-                    nu = _add(mu, tuple(k * c for c in alpha))
-            denom = top - shifted_norm(mu)
+                    rhs += 2 * mult[nu] * sum(map(mul, p, nu))
+                    nu = _add(nu, alpha)
             if rhs == 0:
                 continue
-            val = rhs / denom
-            if val.denominator != 1 or val < 0:
+            val, rem = divmod(rhs, gap)
+            if rem or val < 0:
                 raise InvariantError(
-                    f"Freudenthal multiplicity {val} of {mu} is not a natural number"
+                    f"Freudenthal multiplicity {Fraction(rhs, gap)} of {mu} "
+                    "is not a natural number"
                 )
-            if val:
-                mult[mu] = int(val)
-                nxt.append(mu)
-        level = nxt
+            mult[mu], level[mu] = val, gap
     return mult
 
 
@@ -346,27 +329,21 @@ def cohomology_table(cx: CEComplex) -> CohomologyTable:
 def kostant_prediction(
     datum: RootDatum, split: ParabolicSplit, lam
 ) -> CohomologyTable:
-    """Predicted cohomology: for each minimal coset representative w of
-    length q, the subsystem module with highest weight w(lam+rho)-rho."""
+    """Predicted cohomology (Kostant): for each minimal coset representative
+    w of length q, the Levi module with highest weight w(lam+rho)-rho; the
+    representatives are the integer columns of `RootDatum.coset_walk`."""
     lam = tuple(int(c) for c in lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     levi = sorted(split.levi)
-    simple = [datum.simple_roots[i] for i in levi]
-    degrees: list[dict[Weight, int]] = [
-        {} for _ in range(len(split.n_roots) + 1)
-    ]
-    for w in datum.weyl_group():
-        inv = w.matrix.inverse()
-        if not all(
-            datum._is_positive(tuple(int(x) for x in inv.apply(list(a))))
-            for a in simple
-        ):
-            continue
-        mu = datum.dot_action(w, lam)
-        table = degrees[w.length]
-        for wt, m in weight_multiplicities(datum, mu, levi).items():
-            table[wt] = table.get(wt, 0) + m
+    form = levi_form(datum, levi)
+    shifted = _add(lam, datum.rho)
+    degrees: list[dict[Weight, int]] = [{} for _ in range(len(split.n_roots) + 1)]
+    for table, level in zip(degrees, datum.coset_walk(levi)):
+        for _, cols in level.values():
+            mu = tuple(sum(map(mul, shifted, row)) - 1 for row in zip(*cols))
+            for wt, m in weight_multiplicities(datum, mu, levi, form).items():
+                table[wt] = table.get(wt, 0) + m
     return CohomologyTable(split, degrees)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -136,9 +137,12 @@ class LaurentCharacter:
         terms: dict[Weight, int] = {}
         for u, mu in a.terms.items():
             for v, mv in b.terms.items():
-                w = tuple(x + y for x, y in zip(u, v))
+                w = tuple(map(add, u, v))
                 terms[w] = terms.get(w, 0) + mu * mv
-        return LaurentCharacter(a.rank, terms, a.scale)
+        # the keys are sums of valid keys: skip __post_init__'s re-validation
+        out = object.__new__(LaurentCharacter)
+        vars(out).update(rank=a.rank, terms={w: m for w, m in terms.items() if m}, scale=a.scale)
+        return out
 
     __rmul__ = __mul__
 

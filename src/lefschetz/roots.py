@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .exact import ExactMatrix, InvariantError, Weight
 
@@ -172,10 +173,6 @@ class RootDatum:
 
     # -- basic weight operations
 
-    def pairing(self, lam: Weight, i: int) -> int:
-        """<lam, alpha_i^vee> = i-th fundamental coordinate."""
-        return lam[i]
-
     def reflect(self, lam: Weight, i: int) -> Weight:
         """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
         c = lam[i]
@@ -245,38 +242,57 @@ class RootDatum:
 
     # -- Weyl group
 
-    def simple_reflection_matrix(self, i: int) -> ExactMatrix:
-        # acts on coordinate vectors: s_i(lam)_k = lam_k - lam_i alpha_i[k]
-        n = self.rank
-        alpha = self.simple_roots[i]
-        m = ExactMatrix.identity(n)
-        for k in range(n):
-            m[k, i] = m[k, i] - alpha[k]
-        return m
+    def weyl_order(self, levi=()) -> int:
+        """|W/W_L| = prod of (ht a + 1)/ht a over the positive roots a off the
+        `levi` simple roots: Macdonald's Poincare series at t = 1 (|W| for
+        the empty Levi)."""
+        order = Fraction(1)
+        for c in map(self.root_coordinates, self.positive_roots):
+            if any(c[i] for i in range(self.rank) if i not in levi):
+                order *= (sum(c) + 1) / sum(c)
+        return int(order)
+
+    def coset_walk(self, levi=(), bound: int = WEYL_ORDER_BOUND) -> list[dict]:
+        """Minimal representatives v of W/W_L by length, as an integer orbit walk.
+
+        Level q maps each point v(lam_P) of the orbit of lam_P = sum of the
+        omega_i off the Levi to v's reduced word and the columns w(omega_k)
+        of w = v^-1, Kostant's representative (w^-1 alpha_j > 0 on the Levi).
+        A step s_i from a point with x_i > 0 raises the length by one, and
+        w s_i differs from w only in column i, by -w(alpha_i).  |W/W_L| is
+        checked against `bound` before the walk and against the count after.
+        """
+        count = self.weyl_order(levi)
+        if count > bound:
+            raise ValueError(f"|W/W_L| = {count} exceeds the limit WEYL_ORDER_BOUND = {bound}")
+        links = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan_matrix]
+        start = tuple(int(i not in levi) for i in range(self.rank))
+        levels, level = [], {start: ((), tuple(self.fundamental_weights))}
+        while level:
+            levels.append(level)
+            level = {}
+            for x, (word, cols) in levels[-1].items():
+                for i, c in enumerate(x):
+                    if c > 0 and (y := self.reflect(x, i)) not in level:
+                        w_alpha = map(sum, zip(*[[a * v for v in cols[j]] for j, a in links[i]]))
+                        col = tuple(map(sub, cols[i], w_alpha))
+                        level[y] = ((i,) + word, cols[:i] + (col,) + cols[i + 1 :])
+        if (found := sum(map(len, levels))) != count:
+            raise InvariantError(f"the walk found {found} cosets, not |W/W_L| = {count}")
+        return levels
 
     def weyl_group(self, bound: int = WEYL_ORDER_BOUND) -> list[WeylElement]:
-        """All Weyl elements by breadth-first closure over reduced words."""
-        gens = [self.simple_reflection_matrix(i) for i in range(self.rank)]
-        ident = WeylElement((), ExactMatrix.identity(self.rank), 0)
-        seen = {tuple(ident.matrix.entries): ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i, g in enumerate(gens):
-                    mat = g @ w.matrix
-                    key = tuple(mat.entries)
-                    if key not in seen:
-                        el = WeylElement((i,) + w.reduced_word, mat, w.length + 1)
-                        seen[key] = el
-                        new.append(el)
-                        if len(seen) > bound:
-                            raise ValueError("Weyl group order exceeds bound")
-            frontier = new
-        return sorted(seen.values(), key=lambda w: (w.length, w.reduced_word))
-
-    def weyl_order(self) -> int:
-        return len(self.weyl_group())
+        """All Weyl elements, shortest first: the coset walk with no Levi.  An
+        entry holds the word of v and the columns of v^-1, whose own word is
+        the one at its image of rho, the sum of its columns."""
+        levels = self.coset_walk((), bound)
+        words = {x: word for level in levels for x, (word, _) in level.items()}
+        group = []
+        for q, level in enumerate(levels):
+            for _, cols in level.values():
+                matrix = ExactMatrix.from_rows(list(zip(*cols)))
+                group.append(WeylElement(words[tuple(map(sum, zip(*cols)))], matrix, q))
+        return sorted(group, key=lambda w: (w.length, w.reduced_word))
 
     def inversion_count(self, w: WeylElement) -> int:
         """Number of positive roots sent to negative roots."""

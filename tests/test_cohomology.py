@@ -21,8 +21,8 @@ from lefschetz.cohomology import (
     kostant_prediction,
     weight_multiplicities,
 )
-from lefschetz.exact import ExactMatrix, pairs, rank_and_kernel
-from lefschetz.roots import build_root_system
+from lefschetz.exact import ExactMatrix, InvariantError, pairs, rank_and_kernel
+from lefschetz.roots import RootDatum, build_root_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +71,104 @@ class TestWeightMultiplicities:
     def test_character_dimension(self):
         d = build_root_system("B2")
         assert irreducible_character(d, (1, 1)).dimension() == d.weyl_dimension((1, 1))
+
+
+def fraction_freudenthal(datum, lam, levi):
+    """Freudenthal's recursion over Fractions with the datum's own form: the
+    norms |mu + rho_L|^2 and pairings (nu, alpha) from `datum.inner`."""
+    levi = sorted(levi)
+    lam = tuple(lam)
+    if not levi:
+        return {lam: 1}
+    pos = [
+        r for r in datum.positive_roots
+        if all(c == 0 for i, c in enumerate(datum.root_coordinates(r)) if i not in levi)
+    ]
+    rho_l = [sum(Fraction(r[j], 2) for r in pos) for j in range(datum.rank)]
+
+    def shifted_norm(mu):
+        v = [a + b for a, b in zip(mu, rho_l)]
+        return datum.inner(v, v)
+
+    mult, level = {lam: 1}, [lam]
+    while level:
+        candidates = {
+            tuple(a - b for a, b in zip(mu, datum.simple_roots[i])) for mu in level for i in levi
+        }
+        level = []
+        for mu in sorted(candidates):
+            rhs = Fraction(0)
+            for alpha in pos:
+                k = 1
+                while (nu := tuple(a + k * b for a, b in zip(mu, alpha))) in mult:
+                    rhs += 2 * mult[nu] * datum.inner(nu, alpha)
+                    k += 1
+            if rhs:
+                val = rhs / (shifted_norm(lam) - shifted_norm(mu))
+                assert val.denominator == 1 and val > 0
+                mult[mu] = int(val)
+                level.append(mu)
+    return mult
+
+
+def test_integer_freudenthal_matches_fraction_recursion():
+    """Every type of rank <= 4, every Levi subset, several weights: the
+    integer recursion equals the Fraction one, entry and order alike."""
+    labels = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2")
+    for label in labels:
+        d = build_root_system(label)
+        r = d.rank
+        weights = {(0,) * r, d.fundamental_weights[0], d.fundamental_weights[-1]}
+        if r <= 3:
+            weights |= {d.rho, tuple(range(r))}
+        for lam in sorted(weights):
+            for k in range(r + 1):
+                for levi in itertools.combinations(range(r), k):
+                    got = weight_multiplicities(d, lam, levi)
+                    expected = fraction_freudenthal(d, lam, levi)
+                    assert list(got.items()) == list(expected.items()), (label, lam, levi)
+
+
+def test_integer_freudenthal_ignores_the_form_scale():
+    """The Killing-form datum gives the multiplicities of the Fraction
+    recursion under the Killing form itself."""
+    d = build_root_system("B2").with_killing_form()
+    assert d.form_normalization == "killing"
+    for lam in ((0, 0), (1, 0), (0, 1), (2, 1)):
+        for levi in ((), (0,), (1,), (0, 1)):
+            assert weight_multiplicities(d, lam, levi) == fraction_freudenthal(d, lam, levi)
+
+
+def test_freudenthal_invariant_survives_optimize_flag():
+    """Under python -O a corrupted symmetrizer (B2 with d swapped) still
+    makes Freudenthal's recursion raise InvariantError."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from lefschetz.cohomology import weight_multiplicities
+        from lefschetz.exact import InvariantError
+        from lefschetz.roots import build_root_system
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        datum = build_root_system("B2")
+        datum._d = [Fraction(1), Fraction(2)]
+        try:
+            weight_multiplicities(datum, (1, 1))
+        except InvariantError as e:
+            print("raised:", e)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: Freudenthal multiplicity 11/4 of (0, 1)" in proc.stdout
 
 
 class TestComplex:
@@ -149,6 +247,30 @@ class TestPredictionOracle:
         datum, split, _ = setup("A1", set(), (0,))
         with pytest.raises(ValueError):
             kostant_prediction(datum, split, (-1,))
+
+    def test_a2_levi_0_trivial(self):
+        """w = e, s_1, s_1 s_0 give the Levi modules of highest weight (0, 0),
+        (1, -2) (weights (1, -2), (-1, -1)) and (0, -3)."""
+        datum, split, _ = setup("A2", {0}, (0, 0))
+        table = kostant_prediction(datum, split, (0, 0))
+        assert table.degrees == [{(0, 0): 1}, {(1, -2): 1, (-1, -1): 1}, {(0, -3): 1}]
+
+    def test_e7_e8_borels_refused_before_walking(self, monkeypatch):
+        """|W| of E7 and E8 exceeds WEYL_ORDER_BOUND: refused from the closed
+        form, before a single reflection of the walk."""
+        cases = []
+        for label in ("E7", "E8"):
+            datum = build_root_system(label)
+            cases.append((datum, parabolic_split(build_chevalley_algebra(datum), ())))
+
+        def no_step(self, lam, i):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(RootDatum, "reflect", no_step)
+        for datum, split in cases:
+            for refused in (datum.weyl_group, lambda: kostant_prediction(datum, split, datum.rho)):
+                with pytest.raises(ValueError, match="WEYL_ORDER_BOUND = 1000000"):
+                    refused()
 
     def test_matches_complex_on_spot_checks(self):
         for label, levi, lam in (

@@ -1,5 +1,6 @@
 """Exact scalars, Laurent characters and fraction-free linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -269,3 +270,36 @@ def test_sparse_ops_agree_with_dense(operands):
     reordered = [flat(dict(reversed(list(pairs(col))))) for col in sa.columns]
     shuffled = SparseMatrix(a.rows, reordered)
     assert shuffled == sa and sa - shuffled == SparseMatrix(a.rows, [()] * a.cols)
+
+
+@st.composite
+def character_pairs(draw):
+    """Two characters of one rank, with scales 1 or 2 and signed
+    multiplicities, so that products rescale and terms cancel."""
+    rank = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+
+    def character():
+        terms = draw(st.dictionaries(weight, st.integers(-3, 3), max_size=5))
+        return LaurentCharacter(rank, terms, draw(st.sampled_from((1, 2))))
+
+    return character(), character()
+
+
+@settings(max_examples=150, deadline=None)
+@given(character_pairs())
+def test_product_matches_validating_constructor(operands):
+    """The product equals the convolution built through the validating
+    constructor, term for term, and stores no zero multiplicity."""
+    a, b = operands
+    s = a.scale * b.scale // math.gcd(a.scale, b.scale)
+    terms = {}
+    for u, mu in a.terms.items():
+        for v, mv in b.terms.items():
+            w = tuple(x * (s // a.scale) + y * (s // b.scale) for x, y in zip(u, v))
+            terms[w] = terms.get(w, 0) + mu * mv
+    expected = LaurentCharacter(a.rank, terms, s)
+    prod = a * b
+    assert (prod.rank, prod.scale, prod.terms) == (expected.rank, expected.scale, expected.terms)
+    assert 0 not in prod.terms.values()
+    assert prod == expected and hash(prod) == hash(expected)

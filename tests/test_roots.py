@@ -1,10 +1,12 @@
 """Root systems, Weyl groups, the invariant form and the dot action."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from lefschetz.roots import UnsupportedLabelError, build_root_system
+from lefschetz.exact import InvariantError
+from lefschetz.roots import RootDatum, UnsupportedLabelError, build_root_system
 
 
 class TestConstruction:
@@ -57,7 +59,8 @@ class TestWeylGroup:
         assert sorted(w.length for w in d.weyl_group()) == [0, 1, 1, 2, 2, 3]
 
     def test_orders(self):
-        for label, order in (("B2", 8), ("G2", 12), ("A3", 24)):
+        orders = {"B2": 8, "G2": 12, "A3": 24, "F4": 1152, "E6": 51840, "E8": 696729600}
+        for label, order in orders.items():
             assert build_root_system(label).weyl_order() == order
 
     def test_lengths_equal_inversion_counts(self):
@@ -80,6 +83,86 @@ class TestWeylGroup:
         for a in group:
             for b in group:
                 assert tuple((a * b).matrix.entries) in mats
+
+
+def reflection_closure(d):
+    """Every Weyl element as its columns w(omega_k) -> a reduced word, by
+    breadth-first closure of s_i w, computed column by column with reflect."""
+    ident = tuple(d.fundamental_weights)
+    words, frontier = {ident: ()}, [ident]
+    while frontier:
+        new = []
+        for cols in frontier:
+            for i in range(d.rank):
+                img = tuple(d.reflect(c, i) for c in cols)
+                if img not in words:
+                    words[img] = (i,) + words[cols]
+                    new.append(img)
+        frontier = new
+    return words
+
+
+def apply(cols, lam):
+    return tuple(sum(x * col[k] for x, col in zip(lam, cols)) for k in range(len(lam)))
+
+
+class TestCosetWalk:
+    def test_walk_matches_definition(self):
+        """The walk's (length, w(lam + rho)) are those of the w with
+        w^-1 alpha_j > 0 on the Levi, over the whole group, with multiplicity."""
+        for label in ("A2", "B2", "G2", "A3", "B3", "C3"):
+            d = build_root_system(label)
+            positive = set(d.positive_roots)
+            group = reflection_closure(d)
+            for r in range(d.rank + 1):
+                for levi in itertools.combinations(range(d.rank), r):
+                    kostant = []
+                    for cols, word in group.items():
+                        inverse_images = []
+                        for j in levi:
+                            root = d.simple_roots[j]
+                            for i in word:  # w^-1 = s_ik ... s_i1 for w = s_i1 ... s_ik
+                                root = d.reflect(root, i)
+                            inverse_images.append(root)
+                        if all(root in positive for root in inverse_images):
+                            kostant.append((len(word), cols))
+                    walk = d.coset_walk(levi)
+                    for lam in itertools.product(range(2), repeat=d.rank):
+                        shifted = tuple(c + 1 for c in lam)
+                        expected = sorted((q, apply(cols, shifted)) for q, cols in kostant)
+                        got = sorted(
+                            (q, apply(cols, shifted))
+                            for q, level in enumerate(walk)
+                            for _, cols in level.values()
+                        )
+                        assert got == expected, (label, levi, lam)
+
+    def test_a2_levi_0_table(self):
+        """Kostant's representatives are e, s_1 and s_1 s_0 (the words are
+        those of v = w^-1).  Applying s_1 to points w(rho) reaches s_1 s_0
+        (rho) = (1, -2) only from s_0 (rho) = (-1, 2), which is not dominant
+        for the Levi, so a walk that kept only such points would miss it."""
+        d = build_root_system("A2")
+        walk = d.coset_walk((0,))
+        table = [
+            [(word, apply(cols, d.rho)) for word, cols in level.values()] for level in walk
+        ]
+        assert table == [[((), (1, 1))], [((1,), (2, -1))], [((0, 1), (1, -2))]]
+
+    def test_e6_maximal_parabolics(self):
+        """|W(E6)| / |W_L| for the Levi without node k (D5, A5, A1 x A4,
+        A2 x A1 x A2, A4 x A1, D5), from the walk and from the closed form."""
+        d = build_root_system("E6")
+        for k, index in enumerate((27, 72, 216, 720, 216, 27)):
+            levi = tuple(i for i in range(6) if i != k)
+            assert sum(map(len, d.coset_walk(levi))) == d.weyl_order(levi) == index
+
+
+    def test_walk_checked_against_closed_form(self, monkeypatch):
+        d = build_root_system("B3")
+        monkeypatch.setattr(RootDatum, "weyl_order", lambda self, levi=(): 47)
+        with pytest.raises(InvariantError, match="found 48 cosets, not"):
+            d.coset_walk()
 
 
 class TestDimensionFormula:
