@@ -304,14 +304,9 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
     levi = frozenset(levi)
     if not levi <= set(range(datum.rank)):
         raise ValueError("levi must be a subset of simple-root indices")
-    levi_roots = []
-    n_roots = []
-    for r in datum.positive_roots:
-        coords = datum.root_coordinates(r)
-        if all(coords[i] == 0 for i in range(datum.rank) if i not in levi):
-            levi_roots.append(r)
-        else:
-            n_roots.append(r)
+    on, off = datum.partition_roots(levi)
+    levi_roots = tuple(r for r, _ in on)
+    n_roots = tuple(r for r, _ in off)
     if levi:
         rows = [datum.cartan_matrix[i] for i in sorted(levi)]
         _, kernel = rank_and_kernel(ExactMatrix.from_rows(rows))
@@ -328,8 +323,8 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
         alg,
         levi,
         a_basis,
-        tuple(levi_roots),
-        tuple(n_roots),
+        levi_roots,
+        n_roots,
         tuple(
             sum((Fraction(b[j]) * total[j] for j in range(datum.rank)), Fraction(0))
             for b in a_basis

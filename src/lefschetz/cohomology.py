@@ -27,32 +27,18 @@ from .roots import RootDatum
 # Weight multiplicities via Freudenthal's recursion (independent oracle)
 
 
-def levi_form(datum: RootDatum, levi):
-    """Freudenthal's data for the subsystem on the `levi` simple roots: the
-    symmetrizer d, and each positive root a with its pairing vector p, p_j =
-    c_j(a) d_j for the simple-root coordinates c of a, so that (nu, a) =
-    sum_j p_j nu_j in fundamental coordinates, up to the form's scale."""
-    d = [int(x) for x in datum._d]
-    pos = []
-    for r in datum.positive_roots:
-        coords = datum.root_coordinates(r)
-        if all(coords[i] == 0 for i in range(datum.rank) if i not in levi):
-            pos.append((r, tuple(int(c) * dj for c, dj in zip(coords, d))))
-    return d, pos
-
-
 def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[Weight, int]:
     """Weight multiplicities of the irreducible module with highest weight lam
     for the (sub)system spanned by the `levi` simple roots (default: all),
     computed by Freudenthal's recursion in integers.  `form` is
-    `levi_form(datum, levi)`, computed here if not given."""
+    `datum.levi_form(levi)`, computed here if not given."""
     levi = sorted(set(range(datum.rank) if levi is None else levi))
     lam = tuple(int(c) for c in lam)
     if any(lam[i] < 0 for i in levi):
         raise ValueError(f"weight {lam} is not dominant for the subsystem")
     if not levi:
         return {lam: 1}
-    d, pos = form or levi_form(datum, levi)
+    d, pos = form or datum.levi_form(levi)
     mult: dict[Weight, int] = {lam: 1}
     # mu -> |lam + rho_L|^2 - |mu + rho_L|^2 = (lam - mu, lam + mu + 2 rho_L),
     # which grows by (2 mu + 2 rho_L - alpha_i, alpha_i) = 2 d_i mu_i from mu to mu - alpha_i
@@ -78,7 +64,8 @@ def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[W
                     f"Freudenthal multiplicity {Fraction(rhs, gap)} of {mu} "
                     "is not a natural number"
                 )
-            mult[mu], level[mu] = val, gap
+            mult[mu] = val
+            level[mu] = gap
     return mult
 
 
@@ -336,7 +323,7 @@ def kostant_prediction(
     if not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     levi = sorted(split.levi)
-    form = levi_form(datum, levi)
+    form = datum.levi_form(levi)
     shifted = _add(lam, datum.rho)
     degrees: list[dict[Weight, int]] = [{} for _ in range(len(split.n_roots) + 1)]
     for table, level in zip(degrees, datum.coset_walk(levi)):

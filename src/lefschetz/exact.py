@@ -56,7 +56,7 @@ class LaurentCharacter:
             if len(w) != self.rank:
                 raise ValueError(f"weight {w} has wrong length for rank {self.rank}")
             if m != 0:
-                clean[tuple(int(c) for c in w)] = int(m)
+                clean[tuple(map(int, w))] = int(m)
         object.__setattr__(self, "terms", clean)
 
     # -- constructors
@@ -139,10 +139,7 @@ class LaurentCharacter:
             for v, mv in b.terms.items():
                 w = tuple(map(add, u, v))
                 terms[w] = terms.get(w, 0) + mu * mv
-        # the keys are sums of valid keys: skip __post_init__'s re-validation
-        out = object.__new__(LaurentCharacter)
-        vars(out).update(rank=a.rank, terms={w: m for w, m in terms.items() if m}, scale=a.scale)
-        return out
+        return LaurentCharacter(a.rank, terms, a.scale)
 
     __rmul__ = __mul__
 

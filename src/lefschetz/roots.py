@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import sub
+from operator import mul
 
 from .exact import ExactMatrix, InvariantError, Weight
 
@@ -76,7 +75,7 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return A
 
 
-def _symmetrizer(A: list[list[int]]) -> list[Fraction]:
+def _symmetrizer(A: list[list[int]]) -> list[int]:
     """d_i with d_i * a[i][j] symmetric and min d_i = 1 (short roots length^2 2)."""
     n = len(A)
     d: list[Fraction | None] = [None] * n
@@ -94,7 +93,7 @@ def _symmetrizer(A: list[list[int]]) -> list[Fraction]:
     if None in d:
         raise InvariantError("the Cartan matrix is not connected")
     m = min(d)  # type: ignore[type-var]
-    return [x / m for x in d]  # type: ignore[union-attr]
+    return [int(x / m) for x in d]  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,8 @@ class RootDatum:
         self.form = G
         self.form_normalization = "short-root-2"
         self._to_root_coords = A.transpose().inverse()
-        self.positive_roots: list[Weight] = self._close_positive_roots()
+        self._root_coords = self._close_positive_roots()
+        self.positive_roots: list[Weight] = list(self._root_coords)
 
     @classmethod
     def from_label(cls, label: str) -> "RootDatum":
@@ -200,34 +200,26 @@ class RootDatum:
         """Coordinates of lam in the simple-root basis (rational)."""
         return self._to_root_coords.apply(list(lam))
 
-    def height(self, root: Weight) -> Fraction:
-        return sum(self.root_coordinates(root), Fraction(0))
-
-    def _close_positive_roots(self) -> list[Weight]:
-        roots = set(self.simple_roots)
-        frontier = set(self.simple_roots)
+    def _close_positive_roots(self) -> dict[Weight, tuple[int, ...]]:
+        """Each positive root with its simple-root coordinates, by height: the
+        closure of the simple roots under the s_i.  s_i(b) = b - b_i alpha_i
+        is positive unless b = alpha_i, and lowers coordinate i by b_i."""
+        coords = dict(zip(self.simple_roots, self.fundamental_weights))  # alpha_i -> e_i
+        frontier = self.simple_roots
         while frontier:
-            new = set()
+            new = []
             for beta in frontier:
-                for i in range(self.rank):
+                for i, alpha in enumerate(self.simple_roots):
                     img = self.reflect(beta, i)
-                    if img not in roots and self._is_positive(img):
-                        new.add(img)
-            roots |= new
+                    if beta != alpha and img not in coords:
+                        c = coords[beta]
+                        coords[img] = c[:i] + (c[i] - beta[i],) + c[i + 1 :]
+                        new.append(img)
             frontier = new
-        return sorted(roots, key=lambda r: (self.height(r), r))
-
-    def _is_positive(self, w: Weight) -> bool:
-        coords = self.root_coordinates(w)
-        return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
+        return dict(sorted(coords.items(), key=lambda rc: (sum(rc[1]), rc[0])))
 
     def is_root(self, w: Weight) -> bool:
-        return w in self._root_set()
-
-    @lru_cache(maxsize=None)
-    def _root_set(self) -> frozenset[Weight]:
-        neg = {tuple(-c for c in r) for r in self.positive_roots}
-        return frozenset(set(self.positive_roots) | neg)
+        return w in self._root_coords or tuple(-c for c in w) in self._root_coords
 
     def __hash__(self):
         return hash((self.label, self.form_normalization))
@@ -242,17 +234,36 @@ class RootDatum:
 
     # -- Weyl group
 
-    def weyl_order(self, levi=()) -> int:
-        """|W/W_L| = prod of (ht a + 1)/ht a over the positive roots a off the
-        `levi` simple roots: Macdonald's Poincare series at t = 1 (|W| for
-        the empty Levi)."""
-        order = Fraction(1)
-        for c in map(self.root_coordinates, self.positive_roots):
+    def partition_roots(self, levi):
+        """The positive roots on the `levi` simple roots and those off them
+        (the roots of n), each as (root, simple-root coordinates)."""
+        on, off = [], []
+        for r, c in self._root_coords.items():
             if any(c[i] for i in range(self.rank) if i not in levi):
-                order *= (sum(c) + 1) / sum(c)
+                off.append((r, c))
+            else:
+                on.append((r, c))
+        return on, off
+
+    def levi_form(self, levi):
+        """Freudenthal's data for the subsystem on the `levi` simple roots: the
+        symmetrizer d, and each of its positive roots a with the pairing vector
+        p_j = c_j(a) d_j for the simple-root coordinates c of a, so that
+        (nu, a) = sum_j p_j nu_j in fundamental coordinates, up to the form's
+        scale (d_i = (alpha_i, alpha_i) / 2 when short roots have length^2 2)."""
+        on, _ = self.partition_roots(levi)
+        return self._d, [(r, tuple(map(mul, c, self._d))) for r, c in on]
+
+    def weyl_order(self, levi=()) -> int:
+        """|W/W_L| = prod of (ht a + 1)/ht a over the roots a of n, those off
+        the `levi` simple roots: Macdonald's Poincare series at t = 1 (|W|
+        for the empty Levi)."""
+        order = Fraction(1)
+        for _, c in self.partition_roots(levi)[1]:
+            order *= Fraction(sum(c) + 1, sum(c))
         return int(order)
 
-    def coset_walk(self, levi=(), bound: int = WEYL_ORDER_BOUND) -> list[dict]:
+    def coset_walk(self, levi=()) -> list[dict]:
         """Minimal representatives v of W/W_L by length, as an integer orbit walk.
 
         Level q maps each point v(lam_P) of the orbit of lam_P = sum of the
@@ -260,11 +271,14 @@ class RootDatum:
         of w = v^-1, Kostant's representative (w^-1 alpha_j > 0 on the Levi).
         A step s_i from a point with x_i > 0 raises the length by one, and
         w s_i differs from w only in column i, by -w(alpha_i).  |W/W_L| is
-        checked against `bound` before the walk and against the count after.
+        checked against WEYL_ORDER_BOUND before the walk and against the count
+        after; the bound limits the walk only, not the Levi modules built on it.
         """
         count = self.weyl_order(levi)
-        if count > bound:
-            raise ValueError(f"|W/W_L| = {count} exceeds the limit WEYL_ORDER_BOUND = {bound}")
+        if count > WEYL_ORDER_BOUND:
+            raise ValueError(
+                f"|W/W_L| = {count} exceeds the limit WEYL_ORDER_BOUND = {WEYL_ORDER_BOUND}"
+            )
         links = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan_matrix]
         start = tuple(int(i not in levi) for i in range(self.rank))
         levels, level = [], {start: ((), tuple(self.fundamental_weights))}
@@ -273,19 +287,21 @@ class RootDatum:
             level = {}
             for x, (word, cols) in levels[-1].items():
                 for i, c in enumerate(x):
-                    if c > 0 and (y := self.reflect(x, i)) not in level:
-                        w_alpha = map(sum, zip(*[[a * v for v in cols[j]] for j, a in links[i]]))
-                        col = tuple(map(sub, cols[i], w_alpha))
-                        level[y] = ((i,) + word, cols[:i] + (col,) + cols[i + 1 :])
+                    if c <= 0 or (y := self.reflect(x, i)) in level:
+                        continue
+                    col = cols[i]  # less w(alpha_i) = sum_j a_ij w(omega_j)
+                    for j, a in links[i]:
+                        col = tuple(u - a * v for u, v in zip(col, cols[j]))
+                    level[y] = ((i,) + word, cols[:i] + (col,) + cols[i + 1 :])
         if (found := sum(map(len, levels))) != count:
             raise InvariantError(f"the walk found {found} cosets, not |W/W_L| = {count}")
         return levels
 
-    def weyl_group(self, bound: int = WEYL_ORDER_BOUND) -> list[WeylElement]:
+    def weyl_group(self) -> list[WeylElement]:
         """All Weyl elements, shortest first: the coset walk with no Levi.  An
         entry holds the word of v and the columns of v^-1, whose own word is
         the one at its image of rho, the sum of its columns."""
-        levels = self.coset_walk((), bound)
+        levels = self.coset_walk()
         words = {x: word for level in levels for x, (word, _) in level.items()}
         group = []
         for q, level in enumerate(levels):
@@ -296,29 +312,23 @@ class RootDatum:
 
     def inversion_count(self, w: WeylElement) -> int:
         """Number of positive roots sent to negative roots."""
-        count = 0
-        for r in self.positive_roots:
-            img = w.act(r)
-            if not self._is_positive(img):
-                count += 1
-        return count
+        return sum(w.act(r) not in self._root_coords for r in self.positive_roots)
 
     # -- dimension formula and dot action
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
+        """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha), with the pairings
+        of `levi_form` on all simple roots."""
         if not self.is_dominant(lam):
             raise ValueError(f"weight {lam} is not dominant")
-        lam_rho = tuple(a + b for a, b in zip(lam, self.rho))
-        num = Fraction(1)
-        den = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= self.inner(lam_rho, alpha)
-            den *= self.inner(self.rho, alpha)
-        val = num / den
-        if val.denominator != 1:
-            raise InvariantError(f"nonintegral Weyl dimension {val} of {lam}")
-        return int(val)
+        num = den = 1
+        for _, p in self.levi_form(range(self.rank))[1]:
+            num *= sum(p) + sum(map(mul, p, lam))
+            den *= sum(p)
+        val, rem = divmod(num, den)
+        if rem:
+            raise InvariantError(f"nonintegral Weyl dimension {Fraction(num, den)} of {lam}")
+        return val
 
     def dot_action(self, w: WeylElement, lam: Weight) -> Weight:
         """w . lam = w(lam + rho) - rho."""

@@ -29,6 +29,26 @@ class TestConstruction:
                 images = {d.reflect(r, i) for r in others}
                 assert images == set(others)
 
+    def test_closure_coordinates(self):
+        """The closure's simple-root coordinates are those of the inverse
+        Cartan matrix, and the roots come by height, then lexicographically."""
+        counts = {
+            "A4": 10, "B3": 9, "C4": 16, "D5": 20, "G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120
+        }
+        for label, count in counts.items():
+            d = build_root_system(label)
+            on, off = d.partition_roots(())
+            assert on == [] and [r for r, _ in off] == d.positive_roots
+            assert len(off) == count
+            assert all(c == tuple(d.root_coordinates(r)) for r, c in off)
+            assert [(sum(c), r) for r, c in off] == sorted((sum(c), r) for r, c in off)
+
+    def test_partition_by_levi(self):
+        d = build_root_system("A3")
+        on, off = d.partition_roots((0, 2))
+        assert on == [(d.simple_roots[2], (0, 0, 1)), (d.simple_roots[0], (1, 0, 0))]
+        assert len(off) == 4 and all(c[1] == 1 for _, c in off)
+
     def test_rho_is_all_ones(self):
         assert build_root_system("B2").rho == (1, 1)
 
@@ -157,7 +177,6 @@ class TestCosetWalk:
             levi = tuple(i for i in range(6) if i != k)
             assert sum(map(len, d.coset_walk(levi))) == d.weyl_order(levi) == index
 
-
     def test_walk_checked_against_closed_form(self, monkeypatch):
         d = build_root_system("B3")
         monkeypatch.setattr(RootDatum, "weyl_order", lambda self, levi=(): 47)
@@ -183,6 +202,20 @@ class TestDimensionFormula:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             build_root_system("A2").weyl_dimension((-1, 0))
+
+    def test_exceptional_fundamental_modules(self):
+        """Dimensions of the fundamental modules, Bourbaki numbering (but the
+        long simple root of G2 comes first here)."""
+        expected = {
+            "G2": (14, 7),
+            "F4": (52, 1274, 273, 26),
+            "E6": (27, 78, 351, 2925, 351, 27),
+            "E7": (133, 912, 8645, 365750, 27664, 1539, 56),
+            "E8": (3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248),
+        }
+        for label, dims in expected.items():
+            d = build_root_system(label)
+            assert tuple(map(d.weyl_dimension, d.fundamental_weights)) == dims, label
 
 
 class TestDotAction:
