@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import ExactMatrix, InvariantError, LaurentCharacter, SparseMatrix, Weight
 from .exact import flat, image, pairs, rank_and_kernel
@@ -48,8 +49,20 @@ class StructureConstants:
         pos = datum.positive_roots  # sorted by height then lex
         self.index = {r: i for i, r in enumerate(pos)}
         self.pos = pos
+        # the pairing vector p of each positive root, and |alpha|^2 = sum_j p_j alpha_j
+        self.pairing = dict(datum.levi_form(range(datum.rank))[1])
+        self.norm = {r: sum(map(mul, p, r)) for r, p in self.pairing.items()}
         self._table: dict[tuple[Weight, Weight], int] = {}
         self._fill()
+
+    @staticmethod
+    def _ratio(num: int, den: int, x: Weight, y: Weight) -> int:
+        val, rem = divmod(num, den)
+        if rem:
+            raise InvariantError(
+                f"nonintegral structure constant N{x, y} = {Fraction(num, den)}"
+            )
+        return val
 
     def _is_pos(self, r: Weight) -> bool:
         return r in self.index
@@ -85,15 +98,10 @@ class StructureConstants:
                     t += self.n(beta, _neg(xi)) * self.n(alpha, _sub(beta, xi))
                 if datum.is_root(_sub(alpha, xi)):
                     t -= self.n(alpha, _neg(xi)) * self.n(beta, _sub(alpha, xi))
-                n_gamma_negxi = Fraction(t, self._table[(alpha, beta)])
-                val = (
-                    -n_gamma_negxi
-                    * datum.weight_norm(gamma)
-                    / datum.weight_norm(eta)
-                )
-                if val.denominator != 1:
-                    raise InvariantError(f"nonintegral structure constant N{xi, eta} = {val}")
-                self._table[(xi, eta)] = int(val)
+                # N(xi, eta) = -N(gamma, -xi) |gamma|^2 / |eta|^2, with
+                # N(gamma, -xi) = t / N(alpha, beta)
+                den = self._table[(alpha, beta)] * self.norm[eta]
+                self._table[(xi, eta)] = self._ratio(-t * self.norm[gamma], den, xi, eta)
 
     def n(self, x: Weight, y: Weight) -> int:
         """N(x, y) for arbitrary roots x, y; 0 if x + y is not a root."""
@@ -113,16 +121,8 @@ class StructureConstants:
         if not xp:
             return -self.n(y, x)
         # x positive, y negative, x+y positive; cyclic relation with z = -(x+y)
-        z = _neg(s)
-        n_yz = -self.n(_neg(y), _neg(z))
-        val = (
-            Fraction(n_yz)
-            * self.datum.weight_norm(z)
-            / self.datum.weight_norm(x)
-        )
-        if val.denominator != 1:
-            raise InvariantError(f"nonintegral structure constant N{x, y} = {val}")
-        return int(val)
+        # N(x, y) = N(y, z) |z|^2 / |x|^2 with N(y, z) = -N(-y, x + y)
+        return self._ratio(-self.n(_neg(y), s) * self.norm[s], self.norm[x], x, y)
 
 
 class ChevalleyAlgebra:
@@ -138,24 +138,24 @@ class ChevalleyAlgebra:
         )
         self._index = {b: i for i, b in enumerate(self.basis)}
         self.dimension = len(self.basis)
-        self._bracket_cache: dict[tuple[Label, Label], dict[Label, Fraction]] = {}
+        self._bracket_cache: dict[tuple[Label, Label], dict[Label, int]] = {}
         self._killing: ExactMatrix | None = None
 
     # -- root/coroot helpers
 
     def coroot_coefficients(self, alpha: Weight) -> list[int]:
-        """alpha^vee in the simple-coroot basis: integers c_i with
-        alpha^vee = sum c_i alpha_i^vee."""
-        datum = self.datum
-        coords = datum.root_coordinates(alpha)
-        d_alpha = datum.weight_norm(alpha) / 2
+        """The integers c_i with alpha^vee = sum c_i alpha_i^vee, for a
+        positive root alpha: c_i = 2 p_i / |alpha|^2 with p the pairing
+        vector of alpha, since alpha_i = d_i alpha_i^vee."""
+        norm = self.constants.norm[alpha]
         out = []
-        for i, c in enumerate(coords):
-            d_i = datum.weight_norm(datum.simple_roots[i]) / 2
-            v = c * d_i / d_alpha
-            if v.denominator != 1:
-                raise InvariantError(f"coroot of {alpha} has nonintegral coefficient {v}")
-            out.append(int(v))
+        for p in self.constants.pairing[alpha]:
+            v, rem = divmod(2 * p, norm)
+            if rem:
+                raise InvariantError(
+                    f"coroot of {alpha} has nonintegral coefficient {Fraction(2 * p, norm)}"
+                )
+            out.append(v)
         return out
 
     def _root_vector_label(self, r: Weight) -> Label:
@@ -165,7 +165,7 @@ class ChevalleyAlgebra:
 
     # -- bracket
 
-    def bracket(self, x: Label, y: Label) -> dict[Label, Fraction]:
+    def bracket(self, x: Label, y: Label) -> dict[Label, int]:
         key = (x, y)
         if key in self._bracket_cache:
             return self._bracket_cache[key]
@@ -178,17 +178,15 @@ class ChevalleyAlgebra:
         kind, val = lab
         return val if kind == "e" else _neg(val)
 
-    def _bracket_impl(self, x: Label, y: Label) -> dict[Label, Fraction]:
+    def _bracket_impl(self, x: Label, y: Label) -> dict[Label, int]:
         kx = x[0]
         ky = y[0]
         if kx == "h" and ky == "h":
             return {}
         if kx == "h":
-            r = self._signed_root(y)
-            return {y: Fraction(r[x[1]])}
+            return {y: self._signed_root(y)[x[1]]}
         if ky == "h":
-            r = self._signed_root(x)
-            return {x: Fraction(-r[y[1]])}
+            return {x: -self._signed_root(x)[y[1]]}
         rx = self._signed_root(x)
         ry = self._signed_root(y)
         s = _add(rx, ry)
@@ -196,21 +194,11 @@ class ChevalleyAlgebra:
             # [e_alpha, f_alpha] = h_alpha; here rx = -ry
             sign = 1 if x[0] == "e" else -1
             coeffs = self.coroot_coefficients(rx if x[0] == "e" else ry)
-            return {("h", i): Fraction(sign * c) for i, c in enumerate(coeffs)}
+            return {("h", i): sign * c for i, c in enumerate(coeffs)}
         n = self.constants.n(rx, ry)
         if n == 0:
             return {}
-        return {self._root_vector_label(s): Fraction(n)}
-
-    def bracket_combos(
-        self, xs: dict[Label, Fraction], ys: dict[Label, Fraction]
-    ) -> dict[Label, Fraction]:
-        out: dict[Label, Fraction] = {}
-        for x, cx in xs.items():
-            for y, cy in ys.items():
-                for z, cz in self.bracket(x, y).items():
-                    out[z] = out.get(z, Fraction(0)) + cx * cy * cz
-        return {k: v for k, v in out.items() if v != 0}
+        return {self._root_vector_label(s): n}
 
     # -- invariant forms
 
@@ -513,11 +501,7 @@ def casimir_matrix(
     alg: ChevalleyAlgebra, mod: WeightModule, form_choice: str = "killing"
 ) -> SparseMatrix:
     """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form."""
-    F = alg.invariant_form(form_choice)
-    rk, _ = rank_and_kernel(F)
-    if rk < alg.dimension:
-        raise ValueError("invariant form is degenerate")
-    Finv = F.inverse()
+    Finv = alg.invariant_form(form_choice).inverse()  # raises if the form is degenerate
     acc: list[dict[int, Fraction]] = [{} for _ in range(mod.dimension)]
     for i, x in enumerate(alg.basis):
         for k, y in enumerate(alg.basis):

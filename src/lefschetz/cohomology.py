@@ -73,6 +73,15 @@ def irreducible_character(datum: RootDatum, lam, levi=None) -> LaurentCharacter:
     return LaurentCharacter(datum.rank, weight_multiplicities(datum, lam, levi))
 
 
+# Largest sum of the Levi module dimensions of one Kostant prediction, which
+# bounds its Freudenthal work.  Measured with Python 3.11 on a shared 2-vCPU
+# host at lam = 0: the E6 maximal parabolics without nodes 1-6 (Bourbaki) have
+# sums 65 536, 705 432, 1 960 128, 2 289 792, 1 960 128 and 65 536 and took
+# 2.8, 22, 51, 105, 47 and 2.8 s; every E7 and E8 maximal parabolic has a sum
+# of at least 1.3e8.
+LEVI_DIMENSION_BOUND = 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # The Chevalley-Eilenberg complex
 
@@ -318,17 +327,28 @@ def kostant_prediction(
 ) -> CohomologyTable:
     """Predicted cohomology (Kostant): for each minimal coset representative
     w of length q, the Levi module with highest weight w(lam+rho)-rho; the
-    representatives are the integer columns of `RootDatum.coset_walk`."""
+    representatives are the integer columns of `RootDatum.coset_walk`.  The
+    sum of the Levi dimensions is checked against LEVI_DIMENSION_BOUND
+    before any module is computed."""
     lam = tuple(int(c) for c in lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     levi = sorted(split.levi)
     form = datum.levi_form(levi)
     shifted = _add(lam, datum.rho)
+    levels = [  # w(lam + rho) - rho for each w = v^-1 of the walk, by length
+        [tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()]
+        for level in datum.coset_walk(levi)
+    ]
+    work = sum(datum.weyl_dimension(mu, levi, form) for level in levels for mu in level)
+    if work > LEVI_DIMENSION_BOUND:
+        raise ValueError(
+            f"the Levi modules have dimension {work} in all, more than the limit "
+            f"LEVI_DIMENSION_BOUND = {LEVI_DIMENSION_BOUND}"
+        )
     degrees: list[dict[Weight, int]] = [{} for _ in range(len(split.n_roots) + 1)]
-    for table, level in zip(degrees, datum.coset_walk(levi)):
-        for _, cols in level.values():
-            mu = tuple(sum(map(mul, shifted, row)) - 1 for row in zip(*cols))
+    for table, level in zip(degrees, levels):
+        for mu in level:
             for wt, m in weight_multiplicities(datum, mu, levi, form).items():
                 table[wt] = table.get(wt, 0) + m
     return CohomologyTable(split, degrees)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .cohomology import weight_multiplicities
 from .exact import LaurentCharacter, Weight, exterior_power_character
@@ -199,19 +200,18 @@ def decompose_character(
     """Multiplicities of irreducible characters in a Weyl-invariant virtual
     character, by greedy subtraction of the highest remaining term.  With
     `levi`, the irreducibles and the Weyl group are those of the subsystem
-    of those simple roots, and a weight is ordered by its height on them."""
+    of those simple roots.  A weight w is ordered by the integer (w, 2 rho_L)
+    = sum_j (sum of the p_j of the positive roots of `levi_form`) w_j, which
+    is positive on the subsystem's simple roots."""
     levi = range(datum.rank) if levi is None else sorted(levi)
     if not _is_weyl_invariant(datum, ch, levi):
         raise ValueError("character is not Weyl-invariant")
     remaining = dict(ch.normalized().terms)
     out: dict[Weight, int] = {}
-
-    def height(w):
-        coords = datum.root_coordinates(w)
-        return sum((coords[i] for i in levi), Fraction(0))
-
+    form = datum.levi_form(levi)
+    two_rho = [sum(col) for col in zip(*(p for _, p in form[1]))]
     while remaining:
-        top = max(remaining, key=lambda w: (height(w), w))
+        top = max(remaining, key=lambda w: (sum(map(mul, two_rho, w)), w))
         if any(top[i] < 0 for i in levi):
             raise ValueError(
                 f"highest remaining weight {top} is not dominant; "
@@ -219,7 +219,7 @@ def decompose_character(
             )
         m = remaining[top]
         out[top] = out.get(top, 0) + m
-        for w, mult in weight_multiplicities(datum, top, levi).items():
+        for w, mult in weight_multiplicities(datum, top, levi, form).items():
             c = remaining.get(w, 0) - m * mult
             if c:
                 remaining[w] = c

@@ -184,18 +184,13 @@ class TestFunction:
 @dataclass(frozen=True)
 class LeviRealForm:
     """How to extract Levi-invariants: the character of the symmetric-space
-    part for the Levi, and the extractor convention."""
+    part for the Levi; the invariants are those of the compact Levi."""
 
     p_m_char: LaurentCharacter
-    invariant_extractor: str = "compact-levi"
 
     def __post_init__(self):
         if not self.p_m_char.is_effective():
             raise ValueError("p_M character must be effective")
-        if self.invariant_extractor not in ("compact-levi",):
-            raise ValueError(
-                f"unsupported invariant extractor {self.invariant_extractor!r}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ class RootDatum:
                 G[i, j] = self._d[i] * Ainv[j, i]
         self.form = G
         self.form_normalization = "short-root-2"
-        self._to_root_coords = A.transpose().inverse()
+        self._to_root_coords = Ainv.transpose()
         self._root_coords = self._close_positive_roots()
         self.positive_roots: list[Weight] = list(self._root_coords)
 
@@ -316,13 +316,15 @@ class RootDatum:
 
     # -- dimension formula and dot action
 
-    def weyl_dimension(self, lam: Weight) -> int:
-        """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha), with the pairings
-        of `levi_form` on all simple roots."""
-        if not self.is_dominant(lam):
+    def weyl_dimension(self, lam: Weight, levi=None, form=None) -> int:
+        """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) over the positive
+        roots of the subsystem on the `levi` simple roots (default: all), with
+        the pairings of `form` = `levi_form(levi)`, computed here if not given."""
+        levi = range(self.rank) if levi is None else levi
+        if any(lam[i] < 0 for i in levi):
             raise ValueError(f"weight {lam} is not dominant")
         num = den = 1
-        for _, p in self.levi_form(range(self.rank))[1]:
+        for _, p in (form or self.levi_form(levi))[1]:
             num *= sum(p) + sum(map(mul, p, lam))
             den *= sum(p)
         val, rem = divmod(num, den)

@@ -121,8 +121,9 @@ def _jacobi(cfg, sweep):
         for x, y, z in itertools.combinations(alg.basis, 3):
             acc = {}
             for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                for k, v in alg.bracket_combos({a: Fraction(1)}, alg.bracket(b, c)).items():
-                    acc[k] = acc.get(k, 0) + v
+                for w, cw in alg.bracket(b, c).items():
+                    for k, v in alg.bracket(a, w).items():
+                        acc[k] = acc.get(k, 0) + cw * v
             if any(acc.values()):
                 return {"type": datum.label, "triple": [repr(x), repr(y), repr(z)]}
     return None

@@ -1,5 +1,6 @@
 """Chevalley algebras, parabolic splits, modules, Killing form and Casimir."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -22,6 +23,19 @@ from lefschetz.roots import build_root_system
 from lefschetz.verify import CHECKS, Sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+ALL_TYPES = (
+    *(f"A{n}" for n in range(1, 9)),
+    *(f"B{n}" for n in range(2, 9)),
+    *(f"C{n}" for n in range(3, 9)),
+    *(f"D{n}" for n in range(4, 9)),
+    "E6",
+    "E7",
+    "E8",
+    "F4",
+    "G2",
+)
 
 
 def algebra(label):
@@ -65,8 +79,9 @@ class TestBrackets:
 
     def test_nonintegral_constant_survives_optimize_flag(self):
         """Under python -O a structure constant made nonintegral by a wrong
-        root norm still raises InvariantError, and `lef` reports it as exit 1
-        with a JSON error payload and no traceback."""
+        symmetrizer (d_i scaled by i + 1, so G2 gets N = -4/5) still raises
+        InvariantError, and `lef` reports it as exit 1 with a JSON error
+        payload and no traceback."""
         script = textwrap.dedent(
             """
             import sys
@@ -74,8 +89,8 @@ class TestBrackets:
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
-            norm = roots.RootDatum.weight_norm
-            roots.RootDatum.weight_norm = lambda self, lam: norm(self, lam) + 1
+            sym = roots._symmetrizer
+            roots._symmetrizer = lambda A: [d * (i + 1) for i, d in enumerate(sym(A))]
             sys.exit(cli.main(["module", "--type", "G2", "--weight", "0,0"]))
             """
         )
@@ -89,6 +104,41 @@ class TestBrackets:
         error = json.loads(proc.stdout)["error"]
         assert error.startswith("nonintegral structure constant")
         assert issubclass(InvariantError, AssertionError)
+
+
+class TestIntegerRootTable:
+    """The constants, coroots and brackets read off the integer root table."""
+
+    def test_norms_and_coroots_match_the_fraction_form(self):
+        """|alpha|^2 and alpha^vee = 2 alpha / |alpha|^2 in simple coroots,
+        against the Gram matrix of the datum: c_i |alpha_i|^2 / |alpha|^2."""
+        for label in ALL_TYPES:
+            alg = algebra(label)
+            d = alg.datum
+            simple = [d.weight_norm(a) for a in d.simple_roots]
+            for r in d.positive_roots:
+                norm = d.weight_norm(r)
+                assert alg.constants.norm[r] == norm, (label, r)
+                coords = d.root_coordinates(r)
+                expected = [c * n_i / norm for c, n_i in zip(coords, simple)]
+                assert alg.coroot_coefficients(r) == expected, (label, r)
+
+    def test_bracket_coefficients_are_ints(self):
+        for label in ("A3", "B3", "C3", "D4", "F4", "G2"):
+            alg = algebra(label)
+            for x, y in itertools.product(alg.basis, repeat=2):
+                assert all(type(c) is int for c in alg.bracket(x, y).values()), (x, y)
+
+    def test_constant_tables_are_unchanged(self):
+        """The extraspecial-pair table and the coroots of all 31 types hash
+        to the value of the Fraction computation they replace."""
+        tables = []
+        for label in ALL_TYPES:
+            alg = algebra(label)
+            coroots = [alg.coroot_coefficients(r) for r in alg.datum.positive_roots]
+            tables.append((label, sorted(alg.constants._table.items()), coroots))
+        digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+        assert digest == "91800bb2281a8862918f0cf36d436ce2cf6e855b098eac9799fef8365b4db7e3"
 
 
 class TestKillingForm:

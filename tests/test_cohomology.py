@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lefschetz import cohomology
 from lefschetz.algebra import build_chevalley_algebra, highest_weight_module, parabolic_split
 from lefschetz.cohomology import (
     ChainComplex,
@@ -271,6 +272,24 @@ class TestPredictionOracle:
             for refused in (datum.weyl_group, lambda: kostant_prediction(datum, split, datum.rho)):
                 with pytest.raises(ValueError, match="WEYL_ORDER_BOUND = 1000000"):
                     refused()
+
+    def test_levi_work_refused_before_freudenthal(self, monkeypatch):
+        """Maximal parabolics whose Levi modules exceed LEVI_DIMENSION_BOUND
+        in all (E6 without Bourbaki node 4: 2 289 792; E7 without node 7 and
+        E8 without node 8: more than 1.3e8) are refused before any module."""
+        cases = []
+        for label, node in (("E6", 3), ("E7", 6), ("E8", 7)):
+            datum = build_root_system(label)
+            levi = set(range(datum.rank)) - {node}
+            cases.append((datum, parabolic_split(build_chevalley_algebra(datum), levi)))
+
+        def no_module(*args):
+            raise AssertionError("Freudenthal started")
+
+        monkeypatch.setattr(cohomology, "weight_multiplicities", no_module)
+        for datum, split in cases:
+            with pytest.raises(ValueError, match="LEVI_DIMENSION_BOUND = 1048576"):
+                kostant_prediction(datum, split, (0,) * datum.rank)
 
     def test_matches_complex_on_spot_checks(self):
         for label, levi, lam in (

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lefschetz.cohomology import irreducible_character
 from lefschetz.euler import (
     BettiVector,
     EllipticClassInput,
@@ -144,6 +147,23 @@ class TestCharacterDecomposition:
             2, {(1, 1): 1, (-1, 2): 1, (2, -1): 1, (0, 0): 2, (1, -2): 1, (-2, 1): 1, (-1, -1): 1}
         )
         assert trivial_multiplicity(d, adj * adj) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_levi_decomposition_round_trip(data):
+    """An integer combination of irreducible Levi characters decomposes back
+    to its multiplicities, for every Levi of A2, B2, G2 and A3."""
+    d = build_root_system(data.draw(st.sampled_from(("A2", "B2", "G2", "A3"))))
+    levi = data.draw(st.sets(st.integers(0, d.rank - 1)))
+    tops = st.tuples(*(st.integers(0 if i in levi else -2, 2) for i in range(d.rank)))
+    mults = data.draw(st.dictionaries(tops, st.integers(-3, 3).filter(bool), max_size=4))
+    terms = {}
+    for top, m in mults.items():
+        for w, k in irreducible_character(d, top, levi).terms.items():
+            terms[w] = terms.get(w, 0) + m * k
+    ch = LaurentCharacter(d.rank, {w: c for w, c in terms.items() if c})
+    assert decompose_character(d, ch, levi) == mults
 
 
 class TestEulerPoincareTrace:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lefschetz.cohomology import weight_multiplicities
 from lefschetz.exact import InvariantError
 from lefschetz.roots import RootDatum, UnsupportedLabelError, build_root_system
 
@@ -202,6 +203,21 @@ class TestDimensionFormula:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             build_root_system("A2").weyl_dimension((-1, 0))
+
+    def test_levi_dimension_is_freudenthal_count(self):
+        """On a Levi subsystem the dimension counts the Freudenthal weights,
+        and dominance is asked only on the Levi coordinates."""
+        for label in ("A2", "B2", "G2", "A3", "B3"):
+            d = build_root_system(label)
+            for bits in range(1 << d.rank):
+                levi = [i for i in range(d.rank) if bits >> i & 1]
+                for lam in itertools.product(range(-1, 2), repeat=d.rank):
+                    if any(lam[i] < 0 for i in levi):
+                        with pytest.raises(ValueError):
+                            d.weyl_dimension(lam, levi)
+                        continue
+                    count = sum(weight_multiplicities(d, lam, levi).values())
+                    assert d.weyl_dimension(lam, levi) == count, (label, levi, lam)
 
     def test_exceptional_fundamental_modules(self):
         """Dimensions of the fundamental modules, Bourbaki numbering (but the
