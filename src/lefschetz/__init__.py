@@ -44,7 +44,6 @@ from .exact import (
     ExactMatrix,
     LaurentCharacter,
     alternating_exterior_sum,
-    character_product,
     exterior_power_character,
     rank_and_kernel,
 )
@@ -65,7 +64,6 @@ from .formula import (
 from .roots import RootDatum, UnsupportedLabelError, WeylElement, build_root_system
 from .spin import (
     PolarizedSpace,
-    SpinModule,
     clifford_action,
     clifford_relation_check,
     epsilon_twist_check,

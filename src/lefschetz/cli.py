@@ -51,16 +51,19 @@ def _parse_levi(text: str | None) -> set[int]:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _load_ledger(path: str, split) -> list:
     """The ledger's class records; each a_log must have one entry per
     dimension of the split's a."""
-    records = [
-        formula.GeodesicClassRecord.from_json_obj(row)
-        for row in _load_json(path)["classes"]
-    ]
+    rows = _load_json(path)["classes"]
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: \"classes\" must be a list")
+    records = [formula.GeodesicClassRecord.from_json_obj(row) for row in rows]
     for rec in records:
         if len(rec.a_log) != split.a_dim():
             raise ValueError(
@@ -177,20 +180,21 @@ def cmd_chi_r(args) -> int:
 
 def cmd_chi_gen(args) -> int:
     data = _load_json(args.input)
-    inp = euler.HarishChandraInput(
-        int(data["n_noncompact_pos_roots"]),
-        int(data["n_pos_roots"]),
-        int(data["nu"]),
-        Fraction(str(data["volume_ratio"])),
-        int(data["weyl_order"]),
-        int(data.get("weyl_order_complex", 0)),
-        Fraction(str(data.get("rho_product", 0))),
-    )
-    result = euler.chi_gen(
-        inp,
-        Fraction(str(args.covolume)),
-        Fraction(str(args.a_covolume)) if args.a_covolume else None,
-    )
+    try:
+        inp = euler.HarishChandraInput(
+            int(data["n_noncompact_pos_roots"]),
+            int(data["n_pos_roots"]),
+            int(data["nu"]),
+            Fraction(str(data["volume_ratio"])),
+            int(data["weyl_order"]),
+            int(data.get("weyl_order_complex", 0)),
+            Fraction(str(data.get("rho_product", 0))),
+        )
+        covolume = Fraction(args.covolume)
+        a_covolume = Fraction(args.a_covolume) if args.a_covolume else None
+    except (TypeError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed chi-gen input: {e}") from e
+    result = euler.chi_gen(inp, covolume, a_covolume)
     _emit({k: v.to_json_obj() for k, v in result.items()})
     return EXIT_OK
 

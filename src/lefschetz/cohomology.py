@@ -328,24 +328,26 @@ def kostant_prediction(
     """Predicted cohomology (Kostant): for each minimal coset representative
     w of length q, the Levi module with highest weight w(lam+rho)-rho; the
     representatives are the integer columns of `RootDatum.coset_walk`.  The
-    sum of the Levi dimensions is checked against LEVI_DIMENSION_BOUND
-    before any module is computed."""
+    running sum of the Levi dimensions is checked against
+    LEVI_DIMENSION_BOUND at each level of the walk, before any module is
+    computed."""
     lam = tuple(int(c) for c in lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     levi = sorted(split.levi)
     form = datum.levi_form(levi)
     shifted = _add(lam, datum.rho)
-    levels = [  # w(lam + rho) - rho for each w = v^-1 of the walk, by length
-        [tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()]
-        for level in datum.coset_walk(levi)
-    ]
-    work = sum(datum.weyl_dimension(mu, levi, form) for level in levels for mu in level)
-    if work > LEVI_DIMENSION_BOUND:
-        raise ValueError(
-            f"the Levi modules have dimension {work} in all, more than the limit "
-            f"LEVI_DIMENSION_BOUND = {LEVI_DIMENSION_BOUND}"
+    levels, work = [], 0
+    for level in datum.coset_walk(levi):
+        levels.append(  # w(lam + rho) - rho for each w = v^-1 of the walk
+            [tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()]
         )
+        work += sum(datum.weyl_dimension(mu, levi, form) for mu in levels[-1])
+        if work > LEVI_DIMENSION_BOUND:
+            raise ValueError(
+                f"the Levi modules have dimension at least {work} in all, more than "
+                f"the limit LEVI_DIMENSION_BOUND = {LEVI_DIMENSION_BOUND}"
+            )
     degrees: list[dict[Weight, int]] = [{} for _ in range(len(split.n_roots) + 1)]
     for table, level in zip(degrees, levels):
         for mu in level:

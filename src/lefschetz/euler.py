@@ -42,6 +42,8 @@ class HarishChandraInput:
     def __post_init__(self):
         if min(self.n_noncompact_pos_roots, self.n_pos_roots, self.nu) < 0:
             raise ValueError("counts must be nonnegative")
+        if self.weyl_order < 1:
+            raise ValueError("weyl_order must be positive")
         if self.weyl_order_complex and self.weyl_order_complex % self.weyl_order:
             raise ValueError("weyl_order must divide weyl_order_complex")
 

@@ -178,42 +178,6 @@ class LaurentCharacter:
             out.extend([w] * self.terms[w])
         return out
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Evaluate at a point t of the torus given by t_i = point_i, i.e.
-        sum m_w * prod point_i^(w_i).  Keys are used unscaled, so the point
-        refers to the stored (scaled) lattice."""
-        total = Fraction(0)
-        for w, m in self.terms.items():
-            v = Fraction(1)
-            for c, p in zip(w, point):
-                v *= _as_fraction(p) ** c
-            total += m * v
-        return total
-
-    # -- serialization
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rank": self.rank,
-            "scale": self.scale,
-            "terms": [
-                {"w": list(w), "m": m} for w, m in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentCharacter":
-        return cls(
-            obj["rank"],
-            {tuple(t["w"]): t["m"] for t in obj["terms"]},
-            obj.get("scale", 1),
-        )
-
-
-def character_product(a: LaurentCharacter, b: LaurentCharacter) -> LaurentCharacter:
-    """Tensor-product (convolution) of two virtual characters."""
-    return a * b
-
 
 def exterior_power_character(ch: LaurentCharacter, p: int) -> LaurentCharacter:
     """Character of the p-th exterior power of an effective character.
@@ -316,13 +280,6 @@ class ExactMatrix:
                 obase = i * other.cols
                 for j in range(other.cols):
                     out.entries[obase + j] += a * other.entries[base + j]
-        return out
-
-    def transpose(self) -> "ExactMatrix":
-        out = ExactMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j, i] = self[i, j]
         return out
 
     def apply(self, vec: Sequence) -> list[Fraction]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
@@ -29,6 +30,20 @@ from .exact import (
 )
 
 AWeight = tuple[Fraction, ...]
+
+
+def _parse(from_json_obj):
+    """A from_json_obj classmethod that raises ValueError, as for any bad
+    input, where malformed JSON makes it raise TypeError or ZeroDivisionError."""
+
+    @wraps(from_json_obj)
+    def parse(cls, obj):
+        try:
+            return from_json_obj(cls, obj)
+        except (TypeError, ZeroDivisionError) as e:
+            raise ValueError(f"malformed {cls.__name__}: {e}") from e
+
+    return classmethod(parse)
 
 
 # ---------------------------------------------------------------------------
@@ -46,23 +61,21 @@ class GeodesicClassRecord:
     omega_trace: complex
     tau_trace: complex
 
-    @classmethod
+    @_parse
     def from_json_obj(cls, obj: dict) -> "GeodesicClassRecord":
         def cx(v):
             if isinstance(v, (list, tuple)):
-                return complex(v[0], v[1])
+                re, im = v
+                return complex(re, im)
             return complex(v)
 
-        try:
-            return cls(
-                tuple(float(x) for x in obj["a_log"]),
-                float(obj["covolume"]),
-                Fraction(obj["chi_r"]),
-                cx(obj["omega_trace"]),
-                cx(obj["tau_trace"]),
-            )
-        except TypeError as e:
-            raise ValueError(f"malformed geodesic class record: {e}") from e
+        return cls(
+            tuple(float(x) for x in obj["a_log"]),
+            float(obj["covolume"]),
+            Fraction(obj["chi_r"]),
+            cx(obj["omega_trace"]),
+            cx(obj["tau_trace"]),
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -97,7 +110,7 @@ class SpectralTermTable:
     def scaled(self, n: int) -> "SpectralTermTable":
         return SpectralTermTable({k: n * v for k, v in self.terms.items()})
 
-    @classmethod
+    @_parse
     def from_json_obj(cls, rows: list) -> "SpectralTermTable":
         return cls(
             {
@@ -119,7 +132,7 @@ class SpectralInput:
 
     entries: tuple[tuple[SpectralTermTable, int], ...]
 
-    @classmethod
+    @_parse
     def from_json_obj(cls, obj: dict) -> "SpectralInput":
         return cls(
             tuple(
@@ -145,12 +158,14 @@ class TestFunction:
     pieces: tuple[tuple[float, tuple[Fraction, ...], tuple[tuple[float, float], ...]], ...]
 
     def __post_init__(self):
-        for _, _, box in self.pieces:
+        for _, mu, box in self.pieces:
+            if len(mu) != len(box):
+                raise ValueError(f"mu {list(mu)} and its box have different lengths")
             for t, u in box:
                 if not 0 < t < u:
                     raise ValueError("box bounds must satisfy 0 < T < U")
 
-    @classmethod
+    @_parse
     def from_json_obj(cls, obj: dict) -> "TestFunction":
         return cls(
             tuple(

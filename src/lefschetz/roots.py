@@ -1,4 +1,4 @@
-"""Root systems, Weyl groups, the invariant form and the dot action.
+"""Root systems, Weyl groups and the invariant form.
 
 Weights are stored in fundamental-weight coordinates throughout, so simple
 roots are the rows of the Cartan matrix and dominance is a sign check.  The
@@ -8,9 +8,10 @@ alpha_i = sum_j a[i][j] omega_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Iterator
 
 from .exact import ExactMatrix, InvariantError, Weight
 
@@ -98,40 +99,28 @@ def _symmetrizer(A: list[list[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Weyl group element: a reduced word and its matrix on weight coordinates."""
+    """Weyl group element w: a reduced word and the integer columns w(omega_k),
+    which alone decide equality."""
 
-    reduced_word: tuple[int, ...]
-    matrix: ExactMatrix
-    length: int
+    reduced_word: tuple[int, ...] = field(compare=False)
+    columns: tuple[Weight, ...]
+    length: int = field(compare=False)
 
     def act(self, lam: Weight) -> Weight:
-        img = self.matrix.apply(list(lam))
-        return tuple(int(x) for x in img)
+        """w(lam) = sum_k lam_k w(omega_k)."""
+        return tuple(sum(map(mul, lam, row)) for row in zip(*self.columns))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # matrix of the composite; word is concatenated, not reduced
+        # columns of the composite; word is concatenated, not reduced
         return WeylElement(
-            self.reduced_word + other.reduced_word,
-            self.matrix @ other.matrix,
-            -1,
+            self.reduced_word + other.reduced_word, tuple(map(self.act, other.columns)), -1
         )
-
-    def __hash__(self):
-        return hash(tuple(self.matrix.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.matrix == other.matrix
 
 
 class RootDatum:
-    """Root system data in fundamental-weight coordinates.
-
-    `form_normalization` is either "short-root-2" (default, (alpha,alpha)=2 on
-    short roots) or "killing" (pullback of the Killing form; installed by the
-    chevalley module via `with_killing_form`).
-    """
+    """Root system data in fundamental-weight coordinates, with the invariant
+    form normalized to (alpha, alpha) = 2 on short roots; the Killing-dual
+    form is `ChevalleyAlgebra.killing_dual_form_on_weights`."""
 
     def __init__(self, series: str, rank: int):
         self.series = series
@@ -153,8 +142,7 @@ class RootDatum:
             for j in range(rank):
                 G[i, j] = self._d[i] * Ainv[j, i]
         self.form = G
-        self.form_normalization = "short-root-2"
-        self._to_root_coords = Ainv.transpose()
+        self._cartan_inverse = Ainv
         self._root_coords = self._close_positive_roots()
         self.positive_roots: list[Weight] = list(self._root_coords)
 
@@ -197,8 +185,9 @@ class RootDatum:
         return self.inner(lam, lam)
 
     def root_coordinates(self, lam) -> list[Fraction]:
-        """Coordinates of lam in the simple-root basis (rational)."""
-        return self._to_root_coords.apply(list(lam))
+        """Coordinates of lam in the simple-root basis (rational): (A^-1)^T lam."""
+        inv = self._cartan_inverse
+        return [sum(x * inv[j, i] for j, x in enumerate(lam)) for i in range(self.rank)]
 
     def _close_positive_roots(self) -> dict[Weight, tuple[int, ...]]:
         """Each positive root with its simple-root coordinates, by height: the
@@ -222,12 +211,12 @@ class RootDatum:
         return w in self._root_coords or tuple(-c for c in w) in self._root_coords
 
     def __hash__(self):
-        return hash((self.label, self.form_normalization))
+        return hash(self.label)
 
     def __eq__(self, other):
         if not isinstance(other, RootDatum):
             return NotImplemented
-        return self.label == other.label and self.form_normalization == other.form_normalization
+        return self.label == other.label
 
     def __repr__(self):
         return f"RootDatum({self.label})"
@@ -263,16 +252,18 @@ class RootDatum:
             order *= Fraction(sum(c) + 1, sum(c))
         return int(order)
 
-    def coset_walk(self, levi=()) -> list[dict]:
-        """Minimal representatives v of W/W_L by length, as an integer orbit walk.
+    def coset_walk(self, levi=()) -> Iterator[dict]:
+        """Minimal representatives v of W/W_L by length, as an integer orbit walk
+        that yields one level at a time.
 
         Level q maps each point v(lam_P) of the orbit of lam_P = sum of the
         omega_i off the Levi to v's reduced word and the columns w(omega_k)
         of w = v^-1, Kostant's representative (w^-1 alpha_j > 0 on the Levi).
         A step s_i from a point with x_i > 0 raises the length by one, and
         w s_i differs from w only in column i, by -w(alpha_i).  |W/W_L| is
-        checked against WEYL_ORDER_BOUND before the walk and against the count
-        after; the bound limits the walk only, not the Levi modules built on it.
+        checked against WEYL_ORDER_BOUND before the first level and against the
+        count after the last; the bound limits the walk only, not the Levi
+        modules built on it.
         """
         count = self.weyl_order(levi)
         if count > WEYL_ORDER_BOUND:
@@ -281,11 +272,12 @@ class RootDatum:
             )
         links = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan_matrix]
         start = tuple(int(i not in levi) for i in range(self.rank))
-        levels, level = [], {start: ((), tuple(self.fundamental_weights))}
+        level, found = {start: ((), tuple(self.fundamental_weights))}, 0
         while level:
-            levels.append(level)
-            level = {}
-            for x, (word, cols) in levels[-1].items():
+            yield level
+            found += len(level)
+            prev, level = level, {}
+            for x, (word, cols) in prev.items():
                 for i, c in enumerate(x):
                     if c <= 0 or (y := self.reflect(x, i)) in level:
                         continue
@@ -293,28 +285,27 @@ class RootDatum:
                     for j, a in links[i]:
                         col = tuple(u - a * v for u, v in zip(col, cols[j]))
                     level[y] = ((i,) + word, cols[:i] + (col,) + cols[i + 1 :])
-        if (found := sum(map(len, levels))) != count:
+        if found != count:
             raise InvariantError(f"the walk found {found} cosets, not |W/W_L| = {count}")
-        return levels
 
     def weyl_group(self) -> list[WeylElement]:
         """All Weyl elements, shortest first: the coset walk with no Levi.  An
         entry holds the word of v and the columns of v^-1, whose own word is
         the one at its image of rho, the sum of its columns."""
-        levels = self.coset_walk()
+        levels = list(self.coset_walk())
         words = {x: word for level in levels for x, (word, _) in level.items()}
-        group = []
-        for q, level in enumerate(levels):
-            for _, cols in level.values():
-                matrix = ExactMatrix.from_rows(list(zip(*cols)))
-                group.append(WeylElement(words[tuple(map(sum, zip(*cols)))], matrix, q))
+        group = [
+            WeylElement(words[tuple(map(sum, zip(*cols)))], cols, q)
+            for q, level in enumerate(levels)
+            for _, cols in level.values()
+        ]
         return sorted(group, key=lambda w: (w.length, w.reduced_word))
 
     def inversion_count(self, w: WeylElement) -> int:
         """Number of positive roots sent to negative roots."""
         return sum(w.act(r) not in self._root_coords for r in self.positive_roots)
 
-    # -- dimension formula and dot action
+    # -- dimension formula
 
     def weyl_dimension(self, lam: Weight, levi=None, form=None) -> int:
         """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) over the positive
@@ -332,29 +323,6 @@ class RootDatum:
             raise InvariantError(f"nonintegral Weyl dimension {Fraction(num, den)} of {lam}")
         return val
 
-    def dot_action(self, w: WeylElement, lam: Weight) -> Weight:
-        """w . lam = w(lam + rho) - rho."""
-        shifted = tuple(a + b for a, b in zip(lam, self.rho))
-        img = w.act(shifted)
-        return tuple(a - b for a, b in zip(img, self.rho))
-
-    # -- form normalization switch
-
-    def with_killing_form(self) -> "RootDatum":
-        """Copy of this datum whose form is the Killing-form pullback on h*."""
-        from .algebra import build_chevalley_algebra  # local import, no cycle at module load
-
-        alg = build_chevalley_algebra(self)
-        return self._with_form(alg.killing_dual_form_on_weights(), "killing")
-
-    def _with_form(self, form: ExactMatrix, name: str) -> "RootDatum":
-        import copy
-
-        other = copy.copy(self)
-        other.form = form
-        other.form_normalization = name
-        return other
-
     # -- serialization
 
     def to_json_obj(self) -> dict:
@@ -367,7 +335,7 @@ class RootDatum:
             "fundamental_weights": [list(w) for w in self.fundamental_weights],
             "rho": list(self.rho),
             "form": [[str(self.form[i, j]) for j in range(self.rank)] for i in range(self.rank)],
-            "form_normalization": self.form_normalization,
+            "form_normalization": "short-root-2",
         }
 
 

@@ -68,29 +68,6 @@ class PolarizedSpace:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class SpinModule:
-    """S = ∧V- with basis the subsets of {0..m-1} encoded as bitmasks."""
-
-    space: PolarizedSpace
-
-    @property
-    def dimension(self) -> int:
-        return 1 << self.space.m
-
-    @property
-    def basis(self) -> range:
-        return range(self.dimension)
-
-    @property
-    def plus_part(self) -> list[int]:
-        return [s for s in self.basis if bin(s).count("1") % 2 == 0]
-
-    @property
-    def minus_part(self) -> list[int]:
-        return [s for s in self.basis if bin(s).count("1") % 2 == 1]
-
-
 def _koszul_sign(s: int, i: int) -> int:
     """Sign for moving a factor indexed i past the factors of s below i."""
     below = s & ((1 << i) - 1)

@@ -164,6 +164,38 @@ class TestPlainCommands:
         assert obj["residual"][0] == pytest.approx(obj["global"][0])
 
 
+RECORD = {
+    "a_log": [-1.0],
+    "covolume": 1.0,
+    "chi_r": "1",
+    "omega_trace": [1.0, 0.0],
+    "tau_trace": [1.0, 0.0],
+}
+LAMBDA_1_0 = {"lambda": ["1/0"], "m": 1}
+PIECE = {"coefficient": 1.0, "mu": ["0"], "box": [[1.0, 2.0]]}
+HC_INPUT = {
+    "n_noncompact_pos_roots": 1,
+    "n_pos_roots": 1,
+    "nu": 2,
+    "volume_ratio": "1",
+    "weyl_order": 2,
+    "weyl_order_complex": 4,
+    "rho_product": "3/2",
+}
+VALID = {
+    "ledger": {"classes": [RECORD]},
+    "spectral": {"entries": [{"table": [{"lambda": ["-2"], "m": 1}], "multiplicity": 1}]},
+    "testfn": {"pieces": [PIECE]},
+    "input": HC_INPUT,
+}
+FILES = {"geometric": ["ledger"], "balance": ["spectral", "ledger", "testfn"], "chi-gen": ["input"]}
+OPTIONS = {
+    "geometric": ["--type", "A1"],
+    "balance": ["--type", "A1"],
+    "chi-gen": ["--covolume", "2"],
+}
+
+
 class TestErrorPaths:
     def test_unknown_type(self, capsys):
         code, _ = run(capsys, "root-system", "--type", "Z9")
@@ -205,6 +237,54 @@ class TestErrorPaths:
         ledger.write_text(json.dumps({"classes": [record]}))
         code, _ = run(capsys, "geometric", "--type", "A1", "--ledger", str(ledger))
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("geometric", {"ledger": [RECORD]}),
+            ("geometric", {"ledger": {"classes": 5}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": "1/0"}]}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "omega_trace": [1]}]}}),
+            ("balance", {"spectral": {"entries": [{"table": [LAMBDA_1_0], "multiplicity": 1}]}}),
+            ("balance", {"testfn": {"pieces": 3}}),
+            ("balance", {"testfn": {"pieces": [{**PIECE, "mu": ["0", "1"]}]}}),
+            ("chi-gen", {"input": {**HC_INPUT, "volume_ratio": "1/0"}}),
+            ("chi-gen", {"--covolume": "1/0"}),
+            ("chi-gen", {"input": {**HC_INPUT, "weyl_order": 0}}),
+        ],
+        ids=[
+            "ledger-list",
+            "classes-5",
+            "chi_r-1/0",
+            "omega_trace-1",
+            "lambda-1/0",
+            "pieces-3",
+            "mu-longer-than-box",
+            "volume_ratio-1/0",
+            "covolume-1/0",
+            "weyl_order-0",
+        ],
+    )
+    def test_malformed_input_is_bad_input(self, capsys, tmp_path, command, override):
+        """Each file is valid but for the override, which exits 2 with an
+        error line, never with a traceback."""
+
+        def lef(files):
+            argv = [command, *OPTIONS[command]]
+            for key in FILES[command]:
+                path = tmp_path / f"{key}.json"
+                path.write_text(json.dumps(files.get(key, VALID[key])))
+                argv += [f"--{key}", str(path)]
+            for option, value in files.items():
+                if option.startswith("--"):
+                    argv[argv.index(option) + 1] = value
+            code = main(argv)
+            return code, capsys.readouterr().err
+
+        assert lef({}) == (EXIT_OK, "")
+        code, err = lef(override)
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

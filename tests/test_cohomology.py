@@ -133,8 +133,9 @@ def test_integer_freudenthal_matches_fraction_recursion():
 def test_integer_freudenthal_ignores_the_form_scale():
     """The Killing-form datum gives the multiplicities of the Fraction
     recursion under the Killing form itself."""
-    d = build_root_system("B2").with_killing_form()
-    assert d.form_normalization == "killing"
+    d = build_root_system("B2")
+    d.form = build_chevalley_algebra(d).killing_dual_form_on_weights()
+    assert d.form != build_root_system("B2").form
     for lam in ((0, 0), (1, 0), (0, 1), (2, 1)):
         for levi in ((), (0,), (1,), (0, 1)):
             assert weight_multiplicities(d, lam, levi) == fraction_freudenthal(d, lam, levi)
@@ -290,6 +291,24 @@ class TestPredictionOracle:
         for datum, split in cases:
             with pytest.raises(ValueError, match="LEVI_DIMENSION_BOUND = 1048576"):
                 kostant_prediction(datum, split, (0,) * datum.rank)
+
+    def test_levi_work_refused_during_the_walk(self, monkeypatch):
+        """E8 without Bourbaki node 4 has 483 840 cosets, but its Levi
+        dimensions pass LEVI_DIMENSION_BOUND within the first levels of the
+        walk: the refusal computes fewer than 1 000 of them."""
+        datum = build_root_system("E8")
+        split = parabolic_split(build_chevalley_algebra(datum), set(range(8)) - {3})
+        calls = []
+        dimension = RootDatum.weyl_dimension
+
+        def counted(self, *args):
+            calls.append(args)
+            return dimension(self, *args)
+
+        monkeypatch.setattr(RootDatum, "weyl_dimension", counted)
+        with pytest.raises(ValueError, match="LEVI_DIMENSION_BOUND = 1048576"):
+            kostant_prediction(datum, split, (0,) * 8)
+        assert 0 < len(calls) < 1000
 
     def test_matches_complex_on_spot_checks(self):
         for label, levi, lam in (

@@ -1,10 +1,11 @@
-"""Root systems, Weyl groups, the invariant form and the dot action."""
+"""Root systems, Weyl groups, the invariant form and the Weyl action."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from lefschetz.algebra import build_chevalley_algebra
 from lefschetz.cohomology import weight_multiplicities
 from lefschetz.exact import InvariantError
 from lefschetz.roots import RootDatum, UnsupportedLabelError, build_root_system
@@ -100,10 +101,10 @@ class TestWeylGroup:
     def test_closed_under_composition(self):
         d = build_root_system("A2")
         group = d.weyl_group()
-        mats = {tuple(w.matrix.entries) for w in group}
+        columns = {w.columns for w in group}
         for a in group:
             for b in group:
-                assert tuple((a * b).matrix.entries) in mats
+                assert (a * b).columns in columns
 
 
 def reflection_closure(d):
@@ -147,7 +148,7 @@ class TestCosetWalk:
                             inverse_images.append(root)
                         if all(root in positive for root in inverse_images):
                             kostant.append((len(word), cols))
-                    walk = d.coset_walk(levi)
+                    walk = list(d.coset_walk(levi))
                     for lam in itertools.product(range(2), repeat=d.rank):
                         shifted = tuple(c + 1 for c in lam)
                         expected = sorted((q, apply(cols, shifted)) for q, cols in kostant)
@@ -182,7 +183,7 @@ class TestCosetWalk:
         d = build_root_system("B3")
         monkeypatch.setattr(RootDatum, "weyl_order", lambda self, levi=(): 47)
         with pytest.raises(InvariantError, match="found 48 cosets, not"):
-            d.coset_walk()
+            list(d.coset_walk())
 
 
 class TestDimensionFormula:
@@ -235,23 +236,25 @@ class TestDimensionFormula:
 
 
 class TestDotAction:
+    """The dot action w . lam = w(lam + rho) - rho, on the shifted weight lam + rho."""
+
     def test_identity(self):
         d = build_root_system("A2")
         ident = next(w for w in d.weyl_group() if w.length == 0)
-        assert d.dot_action(ident, (1, 1)) == (1, 1)
+        assert ident.act(d.rho) == d.rho
 
     def test_a1_reflection_on_zero(self):
         d = build_root_system("A1")
         s = next(w for w in d.weyl_group() if w.length == 1)
-        assert d.dot_action(s, (0,)) == (-2,)
+        assert s.act((1,)) == (-1,)
 
     def test_group_action(self):
         d = build_root_system("A2")
         group = d.weyl_group()
-        lam = (1, 2)
+        shifted = (2, 3)
         for a in group:
             for b in group:
-                assert d.dot_action(a, d.dot_action(b, lam)) == d.dot_action(a * b, lam)
+                assert a.act(b.act(shifted)) == (a * b).act(shifted)
 
 
 class TestForms:
@@ -260,9 +263,8 @@ class TestForms:
         assert d.weight_norm((2,)) == 2
 
     def test_killing_norm_a1(self):
-        d = build_root_system("A1").with_killing_form()
-        assert d.weight_norm((2,)) == Fraction(1, 2)
-        assert d.form_normalization == "killing"
+        gram = build_chevalley_algebra(build_root_system("A1")).killing_dual_form_on_weights()
+        assert 4 * gram[0, 0] == Fraction(1, 2)
 
     def test_form_is_weyl_invariant(self):
         for label in ("A2", "B2"):

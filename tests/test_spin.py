@@ -9,7 +9,6 @@ from lefschetz.cli import EXIT_VERIFY_FAIL, main
 from lefschetz.exact import ExactMatrix, LaurentCharacter
 from lefschetz.spin import (
     PolarizedSpace,
-    SpinModule,
     clifford_action,
     clifford_relation_check,
     epsilon_twist_check,
@@ -48,11 +47,6 @@ class TestPolarizedSpace:
             PolarizedSpace(0)
         with pytest.raises(ValueError):
             PolarizedSpace(2, ((1, 0),))
-
-    def test_spin_module_dimensions(self):
-        mod = SpinModule(PolarizedSpace(3))
-        assert mod.dimension == 8
-        assert len(mod.plus_part) == len(mod.minus_part) == 4
 
 
 class TestCliffordAction:
@@ -125,13 +119,12 @@ class TestCliffordAction:
     def test_even_part_preserved_by_generator_pairs(self):
         for m in range(1, 5):
             sp = PolarizedSpace(m)
-            mod = SpinModule(sp)
-            even = set(mod.plus_part)
+            even = {s for s in range(1 << m) if bin(s).count("1") % 2 == 0}
             for x in sp.generators():
                 for y in sp.generators():
                     prod = dense(sp, x) @ dense(sp, y)
                     for s in even:
-                        for t in range(mod.dimension):
+                        for t in range(1 << m):
                             if prod[t, s] != 0:
                                 assert t in even
 
