@@ -49,7 +49,6 @@ from .exact import (
 )
 from .formula import (
     GeodesicClassRecord,
-    LeviRealForm,
     SpectralInput,
     SpectralTermTable,
     TestFunction,

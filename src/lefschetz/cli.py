@@ -137,10 +137,9 @@ def _tau_character(datum, alg, text: str) -> LaurentCharacter:
 
 def cmd_spectral(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    mod = _module(alg, args.weight)
     tau = _tau_character(datum, alg, args.tau)
-    levi_form = formula.LeviRealForm(LaurentCharacter.zero(datum.rank))
-    table = formula.spectral_term(mod, split, levi_form, tau)
+    zero = LaurentCharacter.zero(datum.rank)
+    table = formula.spectral_term(split, _parse_weight(args.weight), zero, tau)
     _emit({"type": datum.label, "levi": sorted(split.levi), "table": table.to_json_obj()})
     return EXIT_OK
 
@@ -182,12 +181,12 @@ def cmd_chi_gen(args) -> int:
     data = _load_json(args.input)
     try:
         inp = euler.HarishChandraInput(
-            int(data["n_noncompact_pos_roots"]),
-            int(data["n_pos_roots"]),
-            int(data["nu"]),
+            formula.json_int(data["n_noncompact_pos_roots"]),
+            formula.json_int(data["n_pos_roots"]),
+            formula.json_int(data["nu"]),
             Fraction(str(data["volume_ratio"])),
-            int(data["weyl_order"]),
-            int(data.get("weyl_order_complex", 0)),
+            formula.json_int(data["weyl_order"]),
+            formula.json_int(data.get("weyl_order_complex", 0)),
             Fraction(str(data.get("rho_product", 0))),
         )
         covolume = Fraction(args.covolume)

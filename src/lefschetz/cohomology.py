@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
+from typing import Iterator
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
@@ -322,27 +323,33 @@ def cohomology_table(cx: CEComplex) -> CohomologyTable:
     return CohomologyTable(cx.split, degrees)
 
 
+def kostant_weights(datum: RootDatum, split: ParabolicSplit, lam) -> Iterator[list[Weight]]:
+    """Kostant's highest weights, one list per degree q: w(lam+rho)-rho for
+    each minimal coset representative w of length q, read off the integer
+    columns of `RootDatum.coset_walk` one level at a time."""
+    lam = tuple(int(c) for c in lam)
+    if len(lam) != datum.rank or not datum.is_dominant(lam):
+        raise ValueError(f"weight {lam} is not a dominant weight of {datum.label}")
+    shifted = _add(lam, datum.rho)
+    for level in datum.coset_walk(sorted(split.levi)):
+        yield [  # w(lam + rho) - rho for each w = v^-1 of the walk
+            tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()
+        ]
+
+
 def kostant_prediction(
     datum: RootDatum, split: ParabolicSplit, lam
 ) -> CohomologyTable:
-    """Predicted cohomology (Kostant): for each minimal coset representative
-    w of length q, the Levi module with highest weight w(lam+rho)-rho; the
-    representatives are the integer columns of `RootDatum.coset_walk`.  The
-    running sum of the Levi dimensions is checked against
-    LEVI_DIMENSION_BOUND at each level of the walk, before any module is
-    computed."""
-    lam = tuple(int(c) for c in lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    """Predicted cohomology (Kostant): in degree q, the Levi modules whose
+    highest weights are the degree-q `kostant_weights`.  The running sum of
+    the Levi dimensions is checked against LEVI_DIMENSION_BOUND at each level
+    of the walk, before any module is computed."""
     levi = sorted(split.levi)
     form = datum.levi_form(levi)
-    shifted = _add(lam, datum.rho)
     levels, work = [], 0
-    for level in datum.coset_walk(levi):
-        levels.append(  # w(lam + rho) - rho for each w = v^-1 of the walk
-            [tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()]
-        )
-        work += sum(datum.weyl_dimension(mu, levi, form) for mu in levels[-1])
+    for level in kostant_weights(datum, split, lam):
+        levels.append(level)
+        work += sum(datum.weyl_dimension(mu, levi, form) for mu in level)
         if work > LEVI_DIMENSION_BOUND:
             raise ValueError(
                 f"the Levi modules have dimension at least {work} in all, more than "

@@ -1,9 +1,10 @@
 """Spectral and geometric sides of the trace identity at desk scale.
 
-Spectral terms m_lambda are computed from the weight-graded nilradical
-cohomology of a finite-dimensional module; geometric coefficients come from a
-ledger of closed-geodesic class records.  A balance evaluator pairs both
-sides against exponential-box test functions on the negative chamber.
+Spectral terms m_lambda are computed from Kostant's highest weights of the
+nilradical cohomology of a finite-dimensional module, with no module or
+complex built; geometric coefficients come from a ledger of closed-geodesic
+class records.  A balance evaluator pairs both sides against exponential-box
+test functions on the negative chamber.
 
 Chamber convention: a class record stores a_log in the negative chamber
 (every n-root takes a negative value on it); test-function boxes live in the
@@ -13,37 +14,51 @@ becomes exp(<-lambda, t>) under the integral.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
-from .cohomology import ChainComplex, CohomologyTable, build_ce_complex, cohomology_table
-from .euler import trivial_multiplicity
-from .exact import (
-    LaurentCharacter,
-    Weight,
-    alternating_exterior_sum,
-    exterior_power_character,
-)
+from .cohomology import ChainComplex, CohomologyTable, kostant_weights
+from .euler import decompose_character
+from .exact import LaurentCharacter, alternating_exterior_sum
 
 AWeight = tuple[Fraction, ...]
 
 
 def _parse(from_json_obj):
     """A from_json_obj classmethod that raises ValueError, as for any bad
-    input, where malformed JSON makes it raise TypeError or ZeroDivisionError."""
+    input, where malformed JSON makes it raise TypeError, ZeroDivisionError or
+    OverflowError (a Fraction of Infinity)."""
 
     @wraps(from_json_obj)
     def parse(cls, obj):
         try:
             return from_json_obj(cls, obj)
-        except (TypeError, ZeroDivisionError) as e:
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
             raise ValueError(f"malformed {cls.__name__}: {e}") from e
 
     return classmethod(parse)
+
+
+def json_int(v) -> int:
+    """A count read from JSON, which must be an integer: int() would truncate
+    a float."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _finite(x):
+    """A float or complex read from JSON, which must be finite: Python's json
+    reads NaN and Infinity."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +81,12 @@ class GeodesicClassRecord:
         def cx(v):
             if isinstance(v, (list, tuple)):
                 re, im = v
-                return complex(re, im)
-            return complex(v)
+                return _finite(complex(re, im))
+            return _finite(complex(v))
 
         return cls(
-            tuple(float(x) for x in obj["a_log"]),
-            float(obj["covolume"]),
+            tuple(_finite(float(x)) for x in obj["a_log"]),
+            _finite(float(obj["covolume"])),
             Fraction(obj["chi_r"]),
             cx(obj["omega_trace"]),
             cx(obj["tau_trace"]),
@@ -114,7 +129,7 @@ class SpectralTermTable:
     def from_json_obj(cls, rows: list) -> "SpectralTermTable":
         return cls(
             {
-                tuple(Fraction(c) for c in row["lambda"]): int(row["m"])
+                tuple(Fraction(c) for c in row["lambda"]): json_int(row["m"])
                 for row in rows
             }
         )
@@ -136,7 +151,7 @@ class SpectralInput:
     def from_json_obj(cls, obj: dict) -> "SpectralInput":
         return cls(
             tuple(
-                (SpectralTermTable.from_json_obj(e["table"]), int(e["multiplicity"]))
+                (SpectralTermTable.from_json_obj(e["table"]), json_int(e["multiplicity"]))
                 for e in obj["entries"]
             )
         )
@@ -170,9 +185,9 @@ class TestFunction:
         return cls(
             tuple(
                 (
-                    float(p["coefficient"]),
+                    _finite(float(p["coefficient"])),
                     tuple(Fraction(c) for c in p["mu"]),
-                    tuple((float(t), float(u)) for t, u in p["box"]),
+                    tuple((_finite(float(t)), _finite(float(u))) for t, u in p["box"]),
                 )
                 for p in obj["pieces"]
             )
@@ -194,18 +209,6 @@ class TestFunction:
                     sum(float(m) * x for m, x in zip(mu, point))
                 )
         return total
-
-
-@dataclass(frozen=True)
-class LeviRealForm:
-    """How to extract Levi-invariants: the character of the symmetric-space
-    part for the Levi; the invariants are those of the compact Levi."""
-
-    p_m_char: LaurentCharacter
-
-    def __post_init__(self):
-        if not self.p_m_char.is_effective():
-            raise ValueError("p_M character must be effective")
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +241,23 @@ def det_identity_check(n_weights, point) -> bool:
 
 
 def spectral_term(
-    mod: WeightModule,
-    split: ParabolicSplit,
-    levi_form: LeviRealForm,
-    tau_char: LaurentCharacter,
+    split: ParabolicSplit, lam, p_m_char: LaurentCharacter, tau_char: LaurentCharacter
 ) -> SpectralTermTable:
     """m_lambda = sum over (p, q) of (-1)^{p+q+dim N} times the dimension of
-    the Levi-invariants in H^q(n,V)^lambda ⊗ ∧^p p_M ⊗ tau-dual."""
-    datum = split.datum
-    table = cohomology_table(build_ce_complex(split, mod))
-    dim_n = len(split.n_roots)
-    sign_n = (-1) ** dim_n
-    p_ch = levi_form.p_m_char
-    tau_dual = tau_char.dual()
-    out: dict[AWeight, int] = {}
-    for q, degree in enumerate(table.degrees):
-        # group the h-weights of H^q by restricted a-weight
-        blocks: dict[AWeight, dict[Weight, int]] = {}
-        for wt, d in degree.items():
-            blocks.setdefault(split.restrict_to_a(wt), {})[wt] = d
-        for lam, terms in blocks.items():
-            h_ch = LaurentCharacter(datum.rank, terms)
-            for p in range(p_ch.dimension() + 1):
-                prod = h_ch * exterior_power_character(p_ch, p) * tau_dual
-                inv = trivial_multiplicity(datum, prod, split.levi)
-                if inv:
-                    val = sign_n * ((-1) ** (p + q)) * inv
-                    out[lam] = out.get(lam, 0) + val
+    the Levi-invariants in H^q(n,V)^lambda ⊗ ∧^p p_M ⊗ tau-dual, V of highest
+    weight `lam`.  By Kostant, H^q(n, V) = ⊕ F_mu over the degree-q
+    `kostant_weights` mu, F_mu of a-weight mu|_a; the invariants of F_mu ⊗ X
+    count the summands of X-dual with mu's Levi coordinates."""
+    datum, levi = split.datum, sorted(split.levi)
+    virtual = alternating_exterior_sum(p_m_char.dual()) * tau_char
+    count = Counter()
+    for top, m in decompose_character(datum, virtual, levi).items():
+        count[tuple(top[i] for i in levi)] += m
+    out = Counter()
+    for q, level in enumerate(kostant_weights(datum, split, lam)):
+        for mu in level:
+            if c := count[tuple(mu[i] for i in levi)]:
+                out[split.restrict_to_a(mu)] += (-1) ** (q + len(split.n_roots)) * c
     return SpectralTermTable(out)
 
 
@@ -285,7 +278,7 @@ def geometric_term(
     det = complex(1.0)
     for w, u in zip(n_weights, multipliers):
         expo = sum(float(c) * x for c, x in zip(w, rec.a_log, strict=True))
-        if expo >= 0:
+        if not expo < 0:  # NaN too
             raise ValueError(
                 f"weight {tuple(w)} is not negative on a_log; record lies "
                 "outside the negative chamber"

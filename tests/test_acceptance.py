@@ -19,7 +19,6 @@ from lefschetz.algebra import (
 from lefschetz.exact import LaurentCharacter
 from lefschetz.formula import (
     GeodesicClassRecord,
-    LeviRealForm,
     SpectralInput,
     TestFunction,
     balance_evaluator,
@@ -119,10 +118,9 @@ def test_10_rank_one_trace_identity_fixture():
     alg = build_chevalley_algebra(datum)
     split = parabolic_split(alg, set())
 
-    # spectral table from the cohomology machinery
-    triv = highest_weight_module(alg, (0,))
-    levi_form = LeviRealForm(LaurentCharacter.zero(1))
-    table = spectral_term(triv, split, levi_form, LaurentCharacter.one(1))
+    # spectral table from Kostant's highest weights of the trivial module
+    zero = LaurentCharacter.zero(1)
+    table = spectral_term(split, (0,), zero, LaurentCharacter.one(1))
     assert table.terms == {(Fraction(0),): -1, (Fraction(-2),): 1}
 
     # geometric coefficient in closed form; the positive root has a-weight 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -70,6 +71,58 @@ class TestPlainCommands:
             {"lambda": ["-2"], "m": 1},
             {"lambda": ["0"], "m": -1},
         ]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--type A1 --weight 0",
+                "63486f366b93531bc44db24dcfa5f435435ea7e9c7ff0c4eb1a5719b68c2074b",
+            ),
+            (
+                "--type A2 --levi 0 --weight 1,1",
+                "398e34d09acfeae1ea19bf07b58b0aa591adb3ecfe06a90ecdd1e5a3df43f050",
+            ),
+            (
+                "--type B2 --levi 1 --weight 1,0 --tau 0,1",
+                "d4cc0ebd57423d51e796d55236abeb386e184510f777d708a9765a031a9e55c6",
+            ),
+            (
+                "--type G2 --levi 0 --weight 1,0 --tau 1,0",
+                "a57e7af023289d76ac9cd6851588e65e80edd7180850746625ebc943c7577851",
+            ),
+            (
+                "--type A3 --levi 0,2 --weight 1,0,1",
+                "62d2a58bf4bb8ee2c7c16ee874c19ac1142bd4c0a22aef053d065169882959d9",
+            ),
+        ],
+        ids=["A1", "A2-levi-0", "B2-levi-1-tau", "G2-levi-0-tau", "A3-levi-0,2"],
+    )
+    def test_spectral_pinned(self, capsys, argv, digest):
+        """The printed spectral table, byte for byte, as the route through the
+        CE complex printed it."""
+        assert main(["spectral", *argv.split()]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--type", "F4", "--weight", "0,0,0,0"],
+            ["--type", "E7", "--levi", "0,1,2,3,4,5", "--weight", "0,0,0,0,0,0,0"],
+        ],
+        ids=["F4-borel", "E7-without-node-7"],
+    )
+    def test_spectral_builds_no_module_or_complex(self, capsys, monkeypatch, argv):
+        """Past MAX_COCHAINS (2^24 cochains for the F4 Borel, 2^27 for E7
+        without Bourbaki node 7): the table comes from Kostant's weights."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a module or a complex was built")
+
+        monkeypatch.setattr(cohomology.CEComplex, "__init__", refuse)
+        monkeypatch.setattr(algebra, "highest_weight_module", refuse)
+        code, obj = run(capsys, "spectral", *argv)
+        assert code == EXIT_OK and obj["table"]
 
     def test_chi_r(self, capsys):
         code, obj = run(capsys, "chi-r", "--betti", "1,0,1", "--r", "0")
@@ -172,6 +225,8 @@ RECORD = {
     "tau_trace": [1.0, 0.0],
 }
 LAMBDA_1_0 = {"lambda": ["1/0"], "m": 1}
+LAMBDA_M2 = {"lambda": ["-2"], "m": 1}
+M_1_7 = {"lambda": ["-2"], "m": 1.7}
 PIECE = {"coefficient": 1.0, "mu": ["0"], "box": [[1.0, 2.0]]}
 HC_INPUT = {
     "n_noncompact_pos_roots": 1,
@@ -223,6 +278,11 @@ class TestErrorPaths:
         code, _ = run(capsys, "module", "--type", "A2", "--weight", "1")
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("weight", ["1", "1,0,5"])
+    def test_spectral_weight_length_must_match_rank(self, capsys, weight):
+        code, obj = run(capsys, "spectral", "--type", "A2", "--weight", weight)
+        assert code == EXIT_BAD_INPUT and obj is None
+
     @pytest.mark.parametrize("a_log", [5, [-1.0, -1.0, -1.0]])
     def test_malformed_a_log(self, capsys, tmp_path, a_log):
         # A1 Borel: a has dimension 1, so a_log needs exactly one entry
@@ -251,6 +311,17 @@ class TestErrorPaths:
             ("chi-gen", {"input": {**HC_INPUT, "volume_ratio": "1/0"}}),
             ("chi-gen", {"--covolume": "1/0"}),
             ("chi-gen", {"input": {**HC_INPUT, "weyl_order": 0}}),
+            ("balance", {"spectral": {"entries": [{"table": [M_1_7], "multiplicity": 1}]}}),
+            ("balance", {"spectral": {"entries": [{"table": [LAMBDA_M2], "multiplicity": 2.9}]}}),
+            ("chi-gen", {"input": {**HC_INPUT, "nu": 2.5}}),
+            ("chi-gen", {"input": {**HC_INPUT, "n_pos_roots": 1.5}}),
+            ("chi-gen", {"input": {**HC_INPUT, "n_noncompact_pos_roots": 1.5}}),
+            ("chi-gen", {"input": {**HC_INPUT, "weyl_order": 2.5}}),
+            ("chi-gen", {"input": {**HC_INPUT, "weyl_order_complex": 4.5}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "a_log": [math.nan]}]}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "covolume": math.inf}]}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": math.inf}]}}),
+            ("balance", {"testfn": {"pieces": [{**PIECE, "coefficient": math.nan}]}}),
         ],
         ids=[
             "ledger-list",
@@ -263,6 +334,17 @@ class TestErrorPaths:
             "volume_ratio-1/0",
             "covolume-1/0",
             "weyl_order-0",
+            "m-1.7",
+            "multiplicity-2.9",
+            "nu-2.5",
+            "n_pos_roots-1.5",
+            "n_noncompact_pos_roots-1.5",
+            "weyl_order-2.5",
+            "weyl_order_complex-4.5",
+            "a_log-NaN",
+            "covolume-Infinity",
+            "chi_r-Infinity",
+            "coefficient-NaN",
         ],
     )
     def test_malformed_input_is_bad_input(self, capsys, tmp_path, command, override):

@@ -20,6 +20,7 @@ from lefschetz.cohomology import (
     homology_table,
     irreducible_character,
     kostant_prediction,
+    kostant_weights,
     weight_multiplicities,
 )
 from lefschetz.exact import ExactMatrix, InvariantError, pairs, rank_and_kernel
@@ -249,6 +250,14 @@ class TestPredictionOracle:
         datum, split, _ = setup("A1", set(), (0,))
         with pytest.raises(ValueError):
             kostant_prediction(datum, split, (-1,))
+
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 5)])
+    def test_rejects_weight_of_wrong_length(self, lam):
+        datum, split, _ = setup("A2", set(), (0, 0))
+        with pytest.raises(ValueError, match="not a dominant weight of A2"):
+            kostant_prediction(datum, split, lam)
+        with pytest.raises(ValueError, match="not a dominant weight of A2"):
+            next(kostant_weights(datum, split, lam))
 
     def test_a2_levi_0_trivial(self):
         """w = e, s_1, s_1 s_0 give the Levi modules of highest weight (0, 0),

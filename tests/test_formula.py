@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from lefschetz.algebra import build_chevalley_algebra, highest_weight_module, parabolic_split
-from lefschetz.exact import LaurentCharacter
+from lefschetz.cohomology import build_ce_complex, cohomology_table, irreducible_character
+from lefschetz.euler import trivial_multiplicity
+from lefschetz.exact import LaurentCharacter, exterior_power_character
 from lefschetz.formula import (
     GeodesicClassRecord,
-    LeviRealForm,
     SpectralInput,
     SpectralTermTable,
     TestFunction,
@@ -69,47 +70,97 @@ class TestDetIdentity:
                     assert det_identity_check(weights, point)
 
 
+def ce_spectral_term(split, table, p_m_char, tau_char):
+    """The spectral table from the CE cohomology `table` of V: the h-weights
+    of H^q grouped by a-weight, and each block's Levi-trivial multiplicity in
+    block ⊗ ∧^p p_M ⊗ tau-dual, with the sign (-1)^{p+q+dim n}."""
+    datum = split.datum
+    out = {}
+    for q, degree in enumerate(table.degrees):
+        blocks = {}
+        for wt, d in degree.items():
+            blocks.setdefault(split.restrict_to_a(wt), {})[wt] = d
+        for lam, terms in blocks.items():
+            h_ch = LaurentCharacter(datum.rank, terms)
+            for p in range(p_m_char.dimension() + 1):
+                prod = h_ch * exterior_power_character(p_m_char, p) * tau_char.dual()
+                inv = trivial_multiplicity(datum, prod, split.levi)
+                out[lam] = out.get(lam, 0) + (-1) ** (p + q + len(split.n_roots)) * inv
+    return SpectralTermTable(out)
+
+
 class TestSpectralTerm:
     def test_rank_one_borel_fixture(self):
-        _, alg, split = setup("A1", set())
-        triv = highest_weight_module(alg, (0,))
-        levi_form = LeviRealForm(LaurentCharacter.zero(1))
-        table = spectral_term(triv, split, levi_form, LaurentCharacter.one(1))
+        _, _, split = setup("A1", set())
+        zero = LaurentCharacter.zero(1)
+        table = spectral_term(split, (0,), zero, LaurentCharacter.one(1))
         assert table.terms == {(Fraction(0),): -1, (Fraction(-2),): 1}
 
     def test_full_levi_reduces_to_alternating_invariants(self):
         from lefschetz.euler import euler_poincare_trace
 
         datum, alg, split = setup("A1", {0})
-        levi_form = LeviRealForm(LaurentCharacter.zero(1))
+        zero = LaurentCharacter.zero(1)
         tau = LaurentCharacter.one(1)
         for lam in ((0,), (2,)):
             mod = highest_weight_module(alg, lam)
-            table = spectral_term(mod, split, levi_form, tau)
+            table = spectral_term(split, lam, zero, tau)
             expected = euler_poincare_trace(
                 mod.character(), LaurentCharacter.zero(1), tau, datum
             )
             assert table.terms.get((), 0) == expected
 
     def test_linearity_in_tables(self):
-        _, alg, split = setup("A1", set())
-        levi_form = LeviRealForm(LaurentCharacter.zero(1))
+        _, _, split = setup("A1", set())
+        zero = LaurentCharacter.zero(1)
         tau = LaurentCharacter.one(1)
-        t0 = spectral_term(highest_weight_module(alg, (0,)), split, levi_form, tau)
-        t2 = spectral_term(highest_weight_module(alg, (2,)), split, levi_form, tau)
+        t0 = spectral_term(split, (0,), zero, tau)
+        t2 = spectral_term(split, (2,), zero, tau)
         combined = SpectralInput(((t0, 2), (t2, -1))).combined()
         for k in set(t0.terms) | set(t2.terms):
             assert combined.terms.get(k, 0) == 2 * t0.terms.get(k, 0) - t2.terms.get(k, 0)
 
     def test_nontrivial_levi_invariants(self):
-        _, alg, split = setup("A2", {0})
-        levi_form = LeviRealForm(LaurentCharacter.zero(2))
+        _, _, split = setup("A2", {0})
+        zero = LaurentCharacter.zero(2)
         tau = LaurentCharacter.one(2)
-        table = spectral_term(highest_weight_module(alg, (1, 0)), split, levi_form, tau)
+        table = spectral_term(split, (1, 0), zero, tau)
         assert table.terms == {(Fraction(-4),): 1}
         # the adjoint module cancels completely against trivial Levi data
-        table = spectral_term(highest_weight_module(alg, (1, 1)), split, levi_form, tau)
+        table = spectral_term(split, (1, 1), zero, tau)
         assert table.terms == {}
+
+    def test_matches_the_ce_complex(self):
+        """Kostant's side equals the table read off the CE complex: each
+        a-weight block of H^q ⊗ ∧^p p_M ⊗ tau-dual, its Levi-trivial
+        multiplicity.  Every Levi of A2, B2 and G2, lam in {0,1}^r, tau
+        trivial or of highest weight omega_1, and p_M = 0 or the Levi module
+        of omega_max(L) (the monomial omega_1 for a Borel), which is not
+        self-dual when L is proper."""
+        nonzero = 0
+        for label in ("A2", "B2", "G2"):
+            datum, alg, _ = setup(label, set())
+            omega_1 = (1, 0)
+            taus = (LaurentCharacter.one(2), highest_weight_module(alg, omega_1).character())
+            for levi in ((), (0,), (1,), (0, 1)):
+                split = parabolic_split(alg, set(levi))
+                top = tuple(int(i == max(levi, default=0)) for i in range(2))
+                p_m = irreducible_character(datum, top, levi)
+                p_m_chars = (LaurentCharacter.zero(2), p_m)
+                for lam in itertools.product(range(2), repeat=2):
+                    mod = highest_weight_module(alg, lam)
+                    table = cohomology_table(build_ce_complex(split, mod))
+                    for tau, p_m_char in itertools.product(taus, p_m_chars):
+                        expected = ce_spectral_term(split, table, p_m_char, tau)
+                        assert spectral_term(split, lam, p_m_char, tau) == expected
+                        nonzero += bool(expected.terms)
+        assert nonzero > 0
+
+    def test_non_effective_p_m_refused(self):
+        _, _, split = setup("A1", set())
+        tau = LaurentCharacter.one(1)
+        with pytest.raises(ValueError, match="nonnegative multiplicities"):
+            spectral_term(split, (0,), -LaurentCharacter.monomial((2,)), tau)
 
     def test_json_round_trip(self):
         table = SpectralTermTable({(Fraction(-2),): 1, (Fraction(0),): -1})
