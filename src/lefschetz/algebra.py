@@ -401,14 +401,7 @@ def highest_weight_module(
     of f_i.  Then e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w."""
     datum = alg.datum
     lam = tuple(int(c) for c in lam)
-    if len(lam) != datum.rank:
-        raise ValueError(
-            f"highest weight {lam} has {len(lam)} coordinates; "
-            f"{datum.label} has rank {datum.rank}"
-        )
-    if not datum.is_dominant(lam):
-        raise ValueError(f"highest weight {lam} is not dominant")
-    expected_dim = datum.weyl_dimension(lam)
+    expected_dim = datum.weyl_dimension(lam)  # refuses a non-dominant or wrong-length lam
     if expected_dim > dim_bound:
         raise ValueError(
             f"module dimension {expected_dim} exceeds bound {dim_bound}"

@@ -129,15 +129,20 @@ def cmd_cohomology(args) -> int:
     return EXIT_OK if obj["kostant_match"] else EXIT_VERIFY_FAIL
 
 
-def _tau_character(datum, alg, text: str) -> LaurentCharacter:
+def _tau_character(datum, text: str) -> LaurentCharacter:
+    """τ's character by Freudenthal, bounded by its Weyl dimension like a module."""
     if text in (None, "", "trivial"):
         return LaurentCharacter.one(datum.rank)
-    return _module(alg, text).character()
+    tau = _parse_weight(text)
+    dim = datum.weyl_dimension(tau)
+    if dim > _dim_bound():
+        raise ValueError(f"module dimension {dim} exceeds bound {_dim_bound()}")
+    return cohomology.irreducible_character(datum, tau)
 
 
 def cmd_spectral(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    tau = _tau_character(datum, alg, args.tau)
+    tau = _tau_character(datum, args.tau)
     zero = LaurentCharacter.zero(datum.rank)
     table = formula.spectral_term(split, _parse_weight(args.weight), zero, tau)
     _emit({"type": datum.label, "levi": sorted(split.levi), "table": table.to_json_obj()})

@@ -35,8 +35,8 @@ def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[W
     `datum.levi_form(levi)`, computed here if not given."""
     levi = sorted(set(range(datum.rank) if levi is None else levi))
     lam = tuple(int(c) for c in lam)
-    if any(lam[i] < 0 for i in levi):
-        raise ValueError(f"weight {lam} is not dominant for the subsystem")
+    if len(lam) != datum.rank or any(lam[i] < 0 for i in levi):
+        raise ValueError(f"{lam} is not a dominant rank-{datum.rank} weight of the subsystem")
     if not levi:
         return {lam: 1}
     d, pos = form or datum.levi_form(levi)

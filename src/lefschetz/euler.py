@@ -15,7 +15,7 @@ from math import comb
 from operator import mul
 
 from .cohomology import weight_multiplicities
-from .exact import LaurentCharacter, Weight, exterior_power_character
+from .exact import LaurentCharacter, Weight, alternating_exterior_sum
 from .roots import RootDatum
 
 
@@ -183,10 +183,6 @@ def orbital_integral_value(inp: EllipticClassInput) -> complex:
 
 def _is_weyl_invariant(datum: RootDatum, ch: LaurentCharacter, simple=None) -> bool:
     """Invariance under the reflections in the `simple` roots (default: all)."""
-    if ch.scale != 1:
-        ch = ch.normalized()
-        if ch.scale != 1:
-            return False
     for i in range(datum.rank) if simple is None else simple:
         reflected = {}
         for w, m in ch.terms.items():
@@ -208,7 +204,7 @@ def decompose_character(
     levi = range(datum.rank) if levi is None else sorted(levi)
     if not _is_weyl_invariant(datum, ch, levi):
         raise ValueError("character is not Weyl-invariant")
-    remaining = dict(ch.normalized().terms)
+    remaining = dict(ch.terms)
     out: dict[Weight, int] = {}
     form = datum.levi_form(levi)
     two_rho = [sum(col) for col in zip(*(p for _, p in form[1]))]
@@ -245,16 +241,13 @@ def euler_poincare_trace(
     group: RootDatum,
 ) -> int:
     """Alternating sum over p of the trivial multiplicity in
-    pi ⊗ ∧^p(p_char) ⊗ tau-dual."""
+    pi ⊗ ∧^p(p_char) ⊗ tau-dual: the trivial multiplicity of
+    pi ⊗ Σ_p (-1)^p ∧^p(p_char) ⊗ tau-dual, since it is linear."""
     for ch in (pi_char, p_char, tau_char):
         if not ch.is_effective():
             raise ValueError("input characters must be effective")
         if not _is_weyl_invariant(group, ch):
             raise ValueError("input character is not Weyl-invariant")
-    base = pi_char * tau_char.dual()
-    total = 0
-    for p in range(p_char.dimension() + 1):
-        term = base * exterior_power_character(p_char, p)
-        mult = trivial_multiplicity(group, term)
-        total += mult if p % 2 == 0 else -mult
-    return total
+    return trivial_multiplicity(
+        group, pi_char * tau_char.dual() * alternating_exterior_sum(p_char)
+    )

@@ -1,8 +1,9 @@
 """Exact scalars, Laurent characters on lattice tori, and exact linear algebra.
 
 Everything here is rational-exact: scalars are `fractions.Fraction`, and
-characters are finite integer-weighted multisets of lattice points.  Dense
-(`ExactMatrix`) and sparse (`SparseMatrix`) matrices are ranked by one
+characters are finite integer-weighted multisets of points of one lattice, the
+weight lattice (`spin` keeps its half-integral weights on the doubled one).
+Dense (`ExactMatrix`) and sparse (`SparseMatrix`) matrices are ranked by one
 fraction-free elimination, `echelon`, on sparse rows cleared of denominators;
 no tolerance, modulus or random choice enters.
 """
@@ -39,18 +40,13 @@ def _as_fraction(x) -> Fraction:
 class LaurentCharacter:
     """Virtual character on a rank-r lattice torus.
 
-    `terms` maps lattice points (length `rank`) to nonzero integer
-    multiplicities.  `scale` is the lattice denominator: the stored key `w`
-    represents the weight w/scale.  Half-integral spin weights use scale 2.
+    `terms` maps lattice points (length `rank`) to nonzero integer multiplicities.
     """
 
     rank: int
     terms: Mapping[Weight, int] = field(default_factory=dict)
-    scale: int = 1
 
     def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be positive")
         clean = {}
         for w, m in self.terms.items():
             if len(w) != self.rank:
@@ -70,90 +66,56 @@ class LaurentCharacter:
         return cls(rank, {(0,) * rank: 1})
 
     @classmethod
-    def monomial(cls, w: Sequence[int], mult: int = 1, scale: int = 1) -> "LaurentCharacter":
-        return cls(len(w), {tuple(w): mult}, scale)
+    def monomial(cls, w: Sequence[int], mult: int = 1) -> "LaurentCharacter":
+        return cls(len(w), {tuple(w): mult})
 
     @classmethod
-    def from_weights(cls, rank: int, weights: Iterable[Sequence[int]], scale: int = 1) -> "LaurentCharacter":
+    def from_weights(cls, rank: int, weights: Iterable[Sequence[int]]) -> "LaurentCharacter":
         terms: dict[Weight, int] = {}
         for w in weights:
             key = tuple(w)
             terms[key] = terms.get(key, 0) + 1
-        return cls(rank, terms, scale)
+        return cls(rank, terms)
 
-    # -- scale handling
-
-    def rescaled(self, new_scale: int) -> "LaurentCharacter":
-        if new_scale == self.scale:
-            return self
-        if new_scale % self.scale != 0:
-            raise ValueError("new scale must be a multiple of the current scale")
-        f = new_scale // self.scale
-        return LaurentCharacter(
-            self.rank, {tuple(c * f for c in w): m for w, m in self.terms.items()}, new_scale
-        )
-
-    def normalized(self) -> "LaurentCharacter":
-        """Reduce the scale to the smallest one representing all terms."""
-        g = self.scale
-        for w in self.terms:
-            for c in w:
-                g = gcd(g, c)
-            if g == 1:
-                return self
-        return LaurentCharacter(
-            self.rank,
-            {tuple(c // g for c in w): m for w, m in self.terms.items()},
-            self.scale // g,
-        )
-
-    def _common(self, other: "LaurentCharacter") -> tuple["LaurentCharacter", "LaurentCharacter"]:
+    def _check_rank(self, other: "LaurentCharacter") -> None:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        s = lcm(self.scale, other.scale)
-        return self.rescaled(s), other.rescaled(s)
 
     # -- ring operations
 
     def __add__(self, other: "LaurentCharacter") -> "LaurentCharacter":
-        a, b = self._common(other)
-        terms = dict(a.terms)
-        for w, m in b.terms.items():
+        self._check_rank(other)
+        terms = dict(self.terms)
+        for w, m in other.terms.items():
             terms[w] = terms.get(w, 0) + m
-        return LaurentCharacter(a.rank, terms, a.scale)
+        return LaurentCharacter(self.rank, terms)
 
     def __sub__(self, other: "LaurentCharacter") -> "LaurentCharacter":
         return self + (-other)
 
     def __neg__(self) -> "LaurentCharacter":
-        return LaurentCharacter(self.rank, {w: -m for w, m in self.terms.items()}, self.scale)
+        return LaurentCharacter(self.rank, {w: -m for w, m in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentCharacter":
         if isinstance(other, int):
-            return LaurentCharacter(
-                self.rank, {w: m * other for w, m in self.terms.items()}, self.scale
-            )
-        a, b = self._common(other)
+            return LaurentCharacter(self.rank, {w: m * other for w, m in self.terms.items()})
+        self._check_rank(other)
         terms: dict[Weight, int] = {}
-        for u, mu in a.terms.items():
-            for v, mv in b.terms.items():
+        for u, mu in self.terms.items():
+            for v, mv in other.terms.items():
                 w = tuple(map(add, u, v))
                 terms[w] = terms.get(w, 0) + mu * mv
-        return LaurentCharacter(a.rank, terms, a.scale)
+        return LaurentCharacter(self.rank, terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentCharacter):
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        a, b = self._common(other)
-        return a.terms == b.terms
+        return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        n = self.normalized()
-        return hash((n.rank, n.scale, frozenset(n.terms.items())))
+        return hash((self.rank, frozenset(self.terms.items())))
 
     # -- queries
 
@@ -166,7 +128,7 @@ class LaurentCharacter:
 
     def dual(self) -> "LaurentCharacter":
         return LaurentCharacter(
-            self.rank, {tuple(-c for c in w): m for w, m in self.terms.items()}, self.scale
+            self.rank, {tuple(-c for c in w): m for w, m in self.terms.items()}
         )
 
     def weight_list(self) -> list[Weight]:
@@ -193,7 +155,7 @@ def exterior_power_character(ch: LaurentCharacter, p: int) -> LaurentCharacter:
     # dp[k] = e_k of the weights processed so far
     dp: list[LaurentCharacter | None] = [LaurentCharacter.one(ch.rank)] + [None] * p
     for w in weights:
-        mono = LaurentCharacter.monomial(w, 1, ch.scale)
+        mono = LaurentCharacter.monomial(w)
         for k in range(min(p, len(weights)), 0, -1):
             if dp[k - 1] is not None:
                 term = dp[k - 1] * mono
@@ -206,7 +168,7 @@ def alternating_exterior_sum(ch: LaurentCharacter) -> LaurentCharacter:
     out = LaurentCharacter.one(ch.rank)
     one = LaurentCharacter.one(ch.rank)
     for w in ch.weight_list():
-        out = out * (one - LaurentCharacter.monomial(w, 1, ch.scale))
+        out = out * (one - LaurentCharacter.monomial(w))
     return out
 
 

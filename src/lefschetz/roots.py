@@ -119,7 +119,7 @@ class WeylElement:
 
 class RootDatum:
     """Root system data in fundamental-weight coordinates, with the invariant
-    form normalized to (alpha, alpha) = 2 on short roots; the Killing-dual
+    form fixed by (alpha, alpha) = 2 on short roots; the Killing-dual
     form is `ChevalleyAlgebra.killing_dual_form_on_weights`."""
 
     def __init__(self, series: str, rank: int):
@@ -312,8 +312,8 @@ class RootDatum:
         roots of the subsystem on the `levi` simple roots (default: all), with
         the pairings of `form` = `levi_form(levi)`, computed here if not given."""
         levi = range(self.rank) if levi is None else levi
-        if any(lam[i] < 0 for i in levi):
-            raise ValueError(f"weight {lam} is not dominant")
+        if len(lam) != self.rank or any(lam[i] < 0 for i in levi):
+            raise ValueError(f"weight {lam} is not a dominant rank-{self.rank} weight")
         num = den = 1
         for _, p in (form or self.levi_form(levi))[1]:
             num *= sum(p) + sum(map(mul, p, lam))

@@ -7,6 +7,10 @@ and V+ by contraction.  The contraction is taken with coefficient 2 so that
 the Clifford relation x·y + y·x = -2 q(x,y) holds exactly with the stored
 pairing (wedge-then-contract plus contract-then-wedge is the identity, and
 -2 q(v_i, v̂_i) = 2).
+
+S± and ε have half-integral weights, so their characters live on the doubled
+lattice (the key 2w is the weight w), and `_doubled` moves V and V+ there
+before the comparison: an injective map, so each identity keeps its verdict.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ def clifford_relation_check(space: PolarizedSpace) -> bool:
 def half_spin_characters(
     space: PolarizedSpace,
 ) -> tuple[LaurentCharacter, LaurentCharacter]:
-    """Characters of S± with weights ½(±μ₁±…±μ_m), even/odd minus signs."""
+    """Characters of S± (weights ½(±μ₁±…±μ_m), even/odd minus signs), doubled."""
     rank = space.rank
     plus: dict[Weight, int] = {}
     minus: dict[Weight, int] = {}
@@ -124,13 +128,15 @@ def half_spin_characters(
             sign = -1 if s & (1 << i) else 1
             for j, c in enumerate(mu):
                 w[j] += sign * c
-        key = tuple(w)  # stored on the doubled lattice
+        key = tuple(w)
         target = plus if bin(s).count("1") % 2 == 0 else minus
         target[key] = target.get(key, 0) + 1
-    return (
-        LaurentCharacter(rank, plus, scale=2),
-        LaurentCharacter(rank, minus, scale=2),
-    )
+    return LaurentCharacter(rank, plus), LaurentCharacter(rank, minus)
+
+
+def _doubled(ch: LaurentCharacter) -> LaurentCharacter:
+    """The same character on the doubled lattice."""
+    return LaurentCharacter(ch.rank, {tuple(2 * c for c in w): m for w, m in ch.terms.items()})
 
 
 def full_space_character(space: PolarizedSpace) -> LaurentCharacter:
@@ -153,7 +159,7 @@ def verify_spin_square(space: PolarizedSpace) -> tuple[bool, int]:
     s_plus, s_minus = half_spin_characters(space)
     delta = s_plus - s_minus
     lhs = delta * delta
-    rhs = alternating_exterior_sum(full_space_character(space))
+    rhs = alternating_exterior_sum(_doubled(full_space_character(space)))
     if lhs == rhs:
         return True, 1
     if lhs == -rhs:
@@ -170,8 +176,8 @@ def epsilon_twist_check(space: PolarizedSpace) -> tuple[bool, str]:
     s_plus, s_minus = half_spin_characters(space)
     rank = space.rank
     eps_key = tuple(sum(mu[j] for mu in space.torus_weights) for j in range(rank))
-    eps = LaurentCharacter(rank, {eps_key: 1}, scale=2)
-    v_plus = LaurentCharacter.from_weights(rank, space.torus_weights)
+    eps = LaurentCharacter.monomial(eps_key)
+    v_plus = _doubled(LaurentCharacter.from_weights(rank, space.torus_weights))
     even = LaurentCharacter.zero(rank)
     odd = LaurentCharacter.zero(rank)
     for p in range(space.m + 1):

@@ -109,12 +109,14 @@ class TestPlainCommands:
         [
             ["--type", "F4", "--weight", "0,0,0,0"],
             ["--type", "E7", "--levi", "0,1,2,3,4,5", "--weight", "0,0,0,0,0,0,0"],
+            "--type E6 --levi 1,2,3,4,5 --weight 0,0,0,0,0,0 --tau 0,1,0,0,0,0".split(),
         ],
-        ids=["F4-borel", "E7-without-node-7"],
+        ids=["F4-borel", "E7-without-node-7", "E6-adjoint-tau"],
     )
     def test_spectral_builds_no_module_or_complex(self, capsys, monkeypatch, argv):
         """Past MAX_COCHAINS (2^24 cochains for the F4 Borel, 2^27 for E7
-        without Bourbaki node 7): the table comes from Kostant's weights."""
+        without Bourbaki node 7): the table comes from Kostant's weights, and
+        τ's character (here the 78-dimensional adjoint) from Freudenthal."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a module or a complex was built")
@@ -282,6 +284,22 @@ class TestErrorPaths:
     def test_spectral_weight_length_must_match_rank(self, capsys, weight):
         code, obj = run(capsys, "spectral", "--type", "A2", "--weight", weight)
         assert code == EXIT_BAD_INPUT and obj is None
+
+    @pytest.mark.parametrize("tau", ["1", "1,0,5", "-1,0"])
+    def test_spectral_tau_must_be_a_dominant_weight(self, capsys, tau):
+        code, obj = run(capsys, "spectral", "--type", "A2", "--weight", "0,0", "--tau", tau)
+        assert code == EXIT_BAD_INPUT and obj is None
+
+    def test_spectral_tau_dimension_bound_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEF_MAX_DIM", "7")
+        code, _ = run(capsys, "spectral", "--type", "A2", "--weight", "0,0", "--tau", "1,1")
+        assert code == EXIT_BAD_INPUT
+
+    def test_verify_det_refuses_too_many_weights(self, capsys):
+        """The D5 Borel has 20 n-weights: 2^20 products per point."""
+        code = main(["verify", "det", "--types", "D5", "--points", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT and "DET_WEIGHT_BOUND" in err
 
     @pytest.mark.parametrize("a_log", [5, [-1.0, -1.0, -1.0]])
     def test_malformed_a_log(self, capsys, tmp_path, a_log):

@@ -48,6 +48,12 @@ class TestWeightMultiplicities:
         assert mult[(0, 0)] == 2
         assert sum(mult.values()) == 8
 
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 5)])
+    @pytest.mark.parametrize("levi", [None, (0,), ()])
+    def test_rejects_weight_of_wrong_length(self, lam, levi):
+        with pytest.raises(ValueError, match="rank-2"):
+            weight_multiplicities(build_root_system("A2"), lam, levi)
+
     def test_agrees_with_constructed_module(self):
         for label in ("A2", "B2"):
             datum = build_root_system(label)

@@ -1,6 +1,5 @@
 """Exact scalars, Laurent characters and fraction-free linear algebra."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -20,8 +19,8 @@ from lefschetz.exact import (
 )
 
 
-def mono(w, m=1, scale=1):
-    return LaurentCharacter.monomial(w, m, scale)
+def mono(w, m=1):
+    return LaurentCharacter.monomial(w, m)
 
 
 class TestLaurentCharacter:
@@ -46,18 +45,6 @@ class TestLaurentCharacter:
     def test_virtual_square(self):
         a = mono((1,)) - mono((-1,))
         assert (a * a).terms == {(2,): 1, (0,): -2, (-2,): 1}
-
-    def test_scale_rescaling(self):
-        half = mono((1,), scale=2)  # the weight 1/2
-        whole = mono((1,))
-        prod = half * whole
-        assert prod.scale == 2
-        assert prod.terms == {(3,): 1}
-
-    def test_normalized(self):
-        ch = LaurentCharacter(1, {(2,): 1, (-2,): 1}, scale=2)
-        n = ch.normalized()
-        assert n.scale == 1 and n.terms == {(1,): 1, (-1,): 1}
 
     def test_dual_and_dimension(self):
         a = mono((1,), 2) + mono((3,), 1)
@@ -243,14 +230,14 @@ def test_sparse_ops_agree_with_dense(operands):
 
 @st.composite
 def characters(draw, count):
-    """`count` characters of one rank, each with scale 1 or 2 and signed
-    multiplicities, so that products rescale and terms cancel."""
+    """`count` characters of one rank with signed multiplicities, so that
+    terms cancel."""
     rank = draw(st.integers(1, 3))
     weight = st.tuples(*[st.integers(-2, 2)] * rank)
 
     def character():
         terms = draw(st.dictionaries(weight, st.integers(-3, 3), max_size=5))
-        return LaurentCharacter(rank, terms, draw(st.sampled_from((1, 2))))
+        return LaurentCharacter(rank, terms)
 
     return tuple(character() for _ in range(count))
 
@@ -261,21 +248,20 @@ def test_product_matches_validating_constructor(operands):
     """The product equals the convolution built through the validating
     constructor, term for term, and stores no zero multiplicity."""
     a, b = operands
-    s = a.scale * b.scale // math.gcd(a.scale, b.scale)
     terms = {}
     for u, mu in a.terms.items():
         for v, mv in b.terms.items():
-            w = tuple(x * (s // a.scale) + y * (s // b.scale) for x, y in zip(u, v))
+            w = tuple(x + y for x, y in zip(u, v))
             terms[w] = terms.get(w, 0) + mu * mv
-    expected = LaurentCharacter(a.rank, terms, s)
+    expected = LaurentCharacter(a.rank, terms)
     prod = a * b
-    assert (prod.rank, prod.scale, prod.terms) == (expected.rank, expected.scale, expected.terms)
+    assert (prod.rank, prod.terms) == (expected.rank, expected.terms)
     assert 0 not in prod.terms.values()
     assert prod == expected and hash(prod) == hash(expected)
 
 
 class TestCharacterProductProperties:
-    """Ring laws of characters, across scales 1 and 2."""
+    """Ring laws of characters."""
 
     @settings(max_examples=100, deadline=None)
     @given(characters(3))

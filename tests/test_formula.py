@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.algebra import build_chevalley_algebra, highest_weight_module, parabolic_split
 from lefschetz.cohomology import build_ce_complex, cohomology_table, irreducible_character
 from lefschetz.euler import trivial_multiplicity
 from lefschetz.exact import LaurentCharacter, exterior_power_character
 from lefschetz.formula import (
+    DET_WEIGHT_BOUND,
     GeodesicClassRecord,
     SpectralInput,
     SpectralTermTable,
@@ -68,6 +71,28 @@ class TestDetIdentity:
                         for _ in range(split.a_dim())
                     )
                     assert det_identity_check(weights, point)
+
+    def test_weight_bound(self):
+        """2^k products per point: past the bound, refused before any."""
+        assert det_identity_check([(1,)] * DET_WEIGHT_BOUND, (Fraction(2),))
+        with pytest.raises(ValueError, match="DET_WEIGHT_BOUND"):
+            det_identity_check([(1,)] * (DET_WEIGHT_BOUND + 1), (Fraction(2),))
+
+
+@st.composite
+def det_cases(draw):
+    """Up to 8 rational weights of rank <= 3 and a positive rational point."""
+    rank = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    weights = draw(st.lists(st.tuples(*[coord] * rank), max_size=8))
+    point = draw(st.tuples(*[st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))] * rank))
+    return weights, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(det_cases())
+def test_det_identity_on_random_rational_weights(case):
+    assert det_identity_check(*case)
 
 
 def ce_spectral_term(split, table, p_m_char, tau_char):

@@ -205,6 +205,11 @@ class TestDimensionFormula:
         with pytest.raises(ValueError):
             build_root_system("A2").weyl_dimension((-1, 0))
 
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 5)])
+    def test_rejects_weight_of_wrong_length(self, lam):
+        with pytest.raises(ValueError, match="rank-2"):
+            build_root_system("A2").weyl_dimension(lam)
+
     def test_levi_dimension_is_freudenthal_count(self):
         """On a Levi subsystem the dimension counts the Freudenthal weights,
         and dominance is asked only on the Levi coordinates."""

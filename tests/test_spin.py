@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz import spin
 from lefschetz.cli import EXIT_VERIFY_FAIL, main
@@ -132,7 +134,7 @@ class TestCliffordAction:
 class TestHalfSpinCharacters:
     def test_m1(self):
         plus, minus = half_spin_characters(PolarizedSpace(1))
-        assert plus.scale == 2 and plus.terms == {(1,): 1}
+        assert plus.terms == {(1,): 1}
         assert minus.terms == {(-1,): 1}
 
     def test_m2_plus(self):
@@ -155,8 +157,8 @@ class TestCharacterIdentities:
         sp = PolarizedSpace(1)
         plus, minus = half_spin_characters(sp)
         delta = plus - minus
-        sq = (delta * delta).normalized()
-        assert sq.terms == {(1,): 1, (0,): -2, (-1,): 1}
+        # on the doubled lattice: (x^½ - x^-½)² = x - 2 + x^-1
+        assert (delta * delta).terms == {(2,): 1, (0,): -2, (-2,): 1}
         holds, sign = verify_spin_square(sp)
         assert holds and sign == -1
 
@@ -181,3 +183,23 @@ class TestCharacterIdentities:
         assert holds and sign == 1
         holds, _ = epsilon_twist_check(sp)
         assert holds
+
+
+@st.composite
+def torus_weights(draw):
+    """1 to 4 nonzero torus weights of one rank <= 3, coordinates in -3..3,
+    odd ones included, so that ½μ leaves the weight lattice."""
+    rank = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    return tuple(draw(st.lists(weight, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_weights())
+def test_identities_on_random_torus_weights(weights):
+    """Both identities hold for any nonzero weights, with the sign and parity
+    of m; the half-spin side lives on the doubled lattice, so a check that
+    compares it with the undoubled exterior powers fails here."""
+    sp = PolarizedSpace(len(weights), weights)
+    assert verify_spin_square(sp) == (True, (-1) ** sp.m)
+    assert epsilon_twist_check(sp) == (True, "even" if sp.m % 2 == 0 else "odd")
