@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .exact import ExactMatrix, InvariantError, LaurentCharacter, SparseMatrix, Weight
@@ -21,8 +22,9 @@ from .exact import flat, image, pairs, rank_and_kernel
 from .roots import RootDatum
 
 # Largest module built, in dimension.  Measured with Python 3.11 on one Xeon
-# vCPU: B2 (3,3), dim 256, builds in 0.3-0.5 s and G2 (2,1), dim 286, in
-# 2.6-3.3 s, most of it in the Shapovalov word recursion (`_WordCalculus`).
+# vCPU: B2 (3,3), dim 256, builds in 0.24-0.30 s (its Casimir check takes
+# 0.01-0.02 s more) and G2 (2,1), dim 286, in 1.95-2.3 s, most of it in the
+# Shapovalov word recursion (`_WordCalculus`).
 DIMENSION_BOUND = 5000
 
 # basis labels: ("h", i), ("e", root), ("f", root) with root a positive weight tuple
@@ -343,17 +345,50 @@ class WeightModule:
         return out
 
 
+def _sylvester(num: int, det: int) -> int:
+    """num / det, which Sylvester's identity makes exact in the bordering."""
+    q, rem = divmod(num, det)
+    if rem:
+        raise InvariantError(f"inexact Sylvester division {num} / {det}")
+    return q
+
+
+def _operator(dim: int, cols: list[tuple[tuple, int]]) -> SparseMatrix:
+    """The operator whose column j is the flat integer column cols[j][0]
+    over cols[j][1], put over the lcm of those denominators."""
+    den = lcm(*(d for _, d in cols))
+    return SparseMatrix(
+        dim,
+        [flat({r: v * (den // d) for r, v in pairs(col)}) if d != den else col for col, d in cols],
+        den,
+    )
+
+
 class _WordCalculus:
     """Shapovalov pairing of lowering-operator words on a Verma highest weight.
 
     The word (i, j, ...) stands for f_i f_j ... v.  Pairings are integers:
-    moving e_i through the word only brings in the pairings <wt, alpha_i^vee>."""
+    moving e_i through the word only brings in the pairings <wt, alpha_i^vee>.
+    The first word of a pairing is always a basis word, and the tail of a
+    basis word is one too, so basis words are named by their index t in the
+    order they are added: `_head[t]` is (i, u) for f_i times the basis word u,
+    and `_pairs[t]` caches the pairings of word t by the second word."""
 
     def __init__(self, datum: RootDatum, lam: Weight):
         self.lam = lam
         self.simple_roots = datum.simple_roots
         self._weights: dict[tuple[int, ...], Weight] = {(): lam}
-        self._pair_cache: dict[tuple, int] = {}
+        self.index: dict[tuple[int, ...], int] = {(): 0}
+        self._head: list[tuple[int, int]] = [(-1, -1)]  # the empty word has no head
+        self._pairs: list[dict[tuple[int, ...], int]] = [{}]
+
+    def add(self, word: tuple[int, ...]) -> int:
+        """Name the basis word f_i w, w a basis word; returns its index."""
+        t = len(self._head)
+        self.index[word] = t
+        self._head.append((word[0], self.index[word[1:]]))
+        self._pairs.append({})
+        return t
 
     def word_weight(self, word: tuple[int, ...]) -> Weight:
         wt = self._weights.get(word)
@@ -375,19 +410,19 @@ class _WordCalculus:
             c -= self.simple_roots[j][i]
         return out
 
-    def pair(self, w1: tuple[int, ...], w2: tuple[int, ...]) -> int:
-        """<f_{w1} v, f_{w2} v> via contravariance; 0 unless the words are
-        permutations of each other, i.e. of one weight."""
-        key = (w1, w2)
-        val = self._pair_cache.get(key)
+    def pair(self, t: int, word: tuple[int, ...]) -> int:
+        """<f_{w} v, f_{word} v> for the basis word w of index t, via
+        contravariance; 0 unless the words are of one weight."""
+        cache = self._pairs[t]
+        val = cache.get(word)
         if val is None:
-            if not w1:
-                val = int(not w2)
-            else:
-                rest = w1[1:]
-                val = sum(c * self.pair(rest, w) for c, w in self.apply_e(w1[0], w2))
-            self._pair_cache[key] = val
+            val = self.pair_head(*self._head[t], word) if t else int(not word)
+            cache[word] = val
         return val
+
+    def pair_head(self, i: int, u: int, word: tuple[int, ...]) -> int:
+        """<f_i f_{w} v, f_{word} v> for the basis word w of index u."""
+        return sum(c * self.pair(u, w) for c, w in self.apply_e(i, word))
 
 
 def highest_weight_module(
@@ -398,7 +433,9 @@ def highest_weight_module(
     The candidates f_i w, w a basis word one level up, join the basis in turn
     when their Schur complement against the words taken is nonzero; else their
     coordinates are G^-1 b (b: their pairings with those words), the columns
-    of f_i.  Then e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w."""
+    of f_i.  The inverse is bordered fraction-free: det G and adj G = det G *
+    G^-1 stay integers, and the coordinates are (adj G) b / det G.  Then
+    e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w."""
     datum = alg.datum
     lam = tuple(int(c) for c in lam)
     expected_dim = datum.weyl_dimension(lam)  # refuses a non-dominant or wrong-length lam
@@ -420,22 +457,27 @@ def highest_weight_module(
                 candidates.setdefault(calc.word_weight(cand), []).append(cand)
         for wt in sorted(candidates):
             chosen: list[tuple[int, ...]] = []
-            inv: list[list[Fraction]] = []  # inverse Gram matrix of chosen
+            ids: list[int] = []  # the calculus' indices of chosen
+            det = 1  # Gram determinant of chosen
+            adj: list[list[int]] = []  # det times the inverse Gram matrix of chosen
             for cand in candidates[wt]:
-                b = [calc.pair(x, cand) for x in chosen]
-                u = [sum(g * y for g, y in zip(row, b)) for row in inv]
-                schur = calc.pair(cand, cand) - sum(x * y for x, y in zip(b, u))
-                if schur:
-                    # border the inverse by the new row b and the Schur complement
-                    inv = [
-                        [g + ui * uj / schur for g, uj in zip(row, u)] + [-ui / schur]
-                        for row, ui in zip(inv, u)
+                b = [calc.pair(x, cand) for x in ids]
+                u = [sum(map(mul, row, b)) for row in adj]
+                own = calc.pair_head(cand[0], calc.index[cand[1:]], cand)
+                new = own * det - sum(map(mul, b, u))  # det * Schur complement
+                if new:
+                    # border adj by the new row b; the new determinant is `new`
+                    adj = [
+                        [_sylvester(g * new + ui * uj, det) for g, uj in zip(row, u)] + [-ui]
+                        for row, ui in zip(adj, u)
                     ]
-                    inv.append([-uj / schur for uj in u] + [Fraction(1, schur)])
+                    adj.append([-uj for uj in u] + [det])
+                    det = new
                     chosen.append(cand)
-                    coords[cand] = {cand: 1}
+                    ids.append(calc.add(cand))
+                    coords[cand] = ({cand: 1}, 1)
                 else:
-                    coords[cand] = {x: c for x, c in zip(chosen, u) if c}
+                    coords[cand] = ({x: c for x, c in zip(chosen, u) if c}, det)
             new_level.extend(chosen)
         levels.append(new_level)
 
@@ -449,24 +491,29 @@ def highest_weight_module(
         )
     weights = [calc.word_weight(w) for w in flat_basis]
 
-    f_cols = [
-        [flat({index[x]: c for x, c in coords[(i,) + w].items()}) for w in flat_basis]
-        for i in range(rank)
-    ]
-    e_cols: list[list[tuple]] = [[()] for _ in range(rank)]  # e_i v = 0
+    def column(word):
+        col, den = coords[word]
+        return flat({index[x]: c for x, c in col.items()}), den
+
+    f_ops = [_operator(dim, [column((i,) + w) for w in flat_basis]) for i in range(rank)]
+    # e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w, each column as
+    # integers over its own denominator, reduced as it is made
+    e_cols: list[list[tuple[tuple, int]]] = [[((), 1)] for _ in range(rank)]  # e_i v = 0
     for w in flat_basis[1:]:  # by level, so e_i of the tail w[1:] is known
-        k, t = w[0], index[w[1:]]
+        fk, t = f_ops[w[0]], index[w[1:]]
         for i in range(rank):
-            col = image(f_cols[k], e_cols[i][t])
-            if k == i:
-                col[t] = col.get(t, 0) + weights[t][i]
-            e_cols[i].append(flat({r: c for r, c in col.items() if c}))
+            col, den = e_cols[i][t]
+            col, den = image(fk.columns, col), den * fk.den
+            if w[0] == i:
+                col[t] = col.get(t, 0) + weights[t][i] * den
+            g = gcd(den, *col.values())
+            e_cols[i].append((flat({r: c // g for r, c in col.items() if c}), den // g))
     action: dict[Label, SparseMatrix] = {}
     for i in range(rank):
         h = [(j, wt[i]) if wt[i] else () for j, wt in enumerate(weights)]
         action[("h", i)] = SparseMatrix(dim, h)
-        action[("e", datum.simple_roots[i])] = SparseMatrix(dim, e_cols[i])
-        action[("f", datum.simple_roots[i])] = SparseMatrix(dim, f_cols[i])
+        action[("e", datum.simple_roots[i])] = _operator(dim, e_cols[i])
+        action[("f", datum.simple_roots[i])] = f_ops[i]
 
     # non-simple root vectors via commutators, by height
     simple_set = set(datum.simple_roots)
@@ -493,18 +540,27 @@ def highest_weight_module(
 def casimir_matrix(
     alg: ChevalleyAlgebra, mod: WeightModule, form_choice: str = "killing"
 ) -> SparseMatrix:
-    """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form."""
+    """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form, summed
+    in integers over the lcm of the terms' denominators."""
     Finv = alg.invariant_form(form_choice).inverse()  # raises if the form is degenerate
-    acc: list[dict[int, Fraction]] = [{} for _ in range(mod.dimension)]
-    for i, x in enumerate(alg.basis):
-        for k, y in enumerate(alg.basis):
-            c = Finv[k, i]
-            if c:
-                for col, prod in zip(acc, (mod.action[x] @ mod.action[y]).columns):
-                    for r, v in pairs(prod):
-                        col[r] = col.get(r, 0) + c * v
+    act = mod.action
+    terms = [
+        (Finv[k, i], act[x], act[y])
+        for i, x in enumerate(alg.basis)
+        for k, y in enumerate(alg.basis)
+        if Finv[k, i]
+    ]
+    den = lcm(*(c.denominator * a.den * b.den for c, a, b in terms))
+    acc: list[dict[int, int]] = [{} for _ in range(mod.dimension)]
+    for c, a, b in terms:
+        m = c.numerator * (den // (c.denominator * a.den * b.den))
+        for col, bcol in zip(acc, b.columns):  # col += m * a @ bcol
+            for k, v in pairs(bcol):
+                v *= m
+                for r, x in pairs(a.columns[k]):
+                    col[r] = col.get(r, 0) + v * x
     return SparseMatrix(
-        mod.dimension, [flat({r: v for r, v in col.items() if v}) for col in acc]
+        mod.dimension, [flat({r: v for r, v in col.items() if v}) for col in acc], den
     )
 
 
@@ -514,10 +570,11 @@ def casimir_eigenvalue(
     """Scalar by which the Casimir of the chosen form acts; raises if the
     Casimir matrix is not an exact scalar multiple of the identity."""
     C = casimir_matrix(alg, mod, form_choice)
-    scalar = Fraction(dict(pairs(C.columns[0])).get(0, 0)) if mod.dimension else Fraction(0)
+    num = dict(pairs(C.columns[0])).get(0, 0) if mod.dimension else 0
     for j, col in enumerate(C.columns):
-        if dict(pairs(col)) != ({j: scalar} if scalar else {}):
+        if dict(pairs(col)) != ({j: num} if num else {}):
             raise InvariantError("Casimir matrix is not scalar")
+    scalar = Fraction(num, C.den)
     G = alg.weight_form_gram(form_choice)
 
     def inner(a, b):

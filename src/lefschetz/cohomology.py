@@ -108,7 +108,7 @@ class CEComplex:
     for small = R ∪ {g}, big = R ∪ {a, b} and [e_a, e_b] = N e_g.
 
     `differentials[q]` maps degree q to degree q + step.  Its blocks are the
-    map times `scale`, the lcm of the denominators of the e_k: integral, and
+    map times `scale`, the lcm of the e_k's denominators `den`: integral, and
     with the ranks and zero composites of the map itself.
     """
 
@@ -151,13 +151,12 @@ class CEComplex:
                     position[mask * dim + j] = len(labels)
                     labels.append((j, subset))
             self.bases.append(blocks)
-        # each e_k read once, as sparse integer columns act[k][j] = [(j', entry)]
-        actions = [mod.action[("e", r)].columns for r in self.n_roots]
-        entries = [c for cols in actions for col in cols for _, c in pairs(col)]
-        self.scale = lcm(*{c.denominator for c in entries})
+        # each e_k read once, times scale: integer columns act[k][j] = [(j', entry)]
+        actions = [mod.action[("e", r)] for r in self.n_roots]
+        self.scale = lcm(*(e.den for e in actions))
         act = [
-            [[(jp, int(c * self.scale)) for jp, c in pairs(col)] for col in cols]
-            for cols in actions
+            [[(jp, c * (self.scale // e.den)) for jp, c in pairs(col)] for col in e.columns]
+            for e in actions
         ]
         # brackets[g]: (a, b, N) with a < b and [e_a, e_b] = N e_g, N != 0
         sc = split.algebra.constants

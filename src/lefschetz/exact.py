@@ -3,9 +3,11 @@
 Everything here is rational-exact: scalars are `fractions.Fraction`, and
 characters are finite integer-weighted multisets of points of one lattice, the
 weight lattice (`spin` keeps its half-integral weights on the doubled one).
-Dense (`ExactMatrix`) and sparse (`SparseMatrix`) matrices are ranked by one
-fraction-free elimination, `echelon`, on sparse rows cleared of denominators;
-no tolerance, modulus or random choice enters.
+Dense matrices (`ExactMatrix`) hold Fractions; sparse ones (`SparseMatrix`)
+hold integer columns over one positive denominator, so their products, sums
+and ranks run in integers.  Both are ranked by one fraction-free elimination,
+`echelon`, on sparse rows cleared of denominators; no tolerance, modulus or
+random choice enters.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -281,39 +283,65 @@ class ExactMatrix:
 
 
 class SparseMatrix:
-    """Exact sparse matrix: `columns[j]` is the flat tuple (row, entry, row,
-    entry, ...) of the nonzero int or Fraction entries of column j; flat
-    tuples keep thousands of short columns small."""
+    """Exact sparse matrix `columns / den`: `columns[j]` is the flat tuple
+    (row, entry, row, entry, ...) of the nonzero integer entries of column j,
+    and `den` is one positive integer prime to all of them, so that equal
+    matrices are stored alike.  The constructor clears any Fraction entries it
+    is given into `den` and divides out the common factor; flat tuples keep
+    thousands of short columns small."""
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "columns", "den")
 
-    def __init__(self, rows: int, columns: list[tuple]):
+    def __init__(self, rows: int, columns: list[tuple], den: int = 1):
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be a positive int, not {den!r}")
+        # a sum of ints is an int, and one Fraction entry makes it a Fraction
+        if type(sum(map(sum, map(_entries, columns)))) is not int:
+            entries = chain.from_iterable(map(_entries, columns))
+            clear = lcm(*(Fraction(v).denominator for v in entries))
+            columns = [flat({i: int(v * clear) for i, v in pairs(col)}) for col in columns]
+            den *= clear
+        g = gcd(den, *chain.from_iterable(map(_entries, columns))) if den != 1 else 1
+        if g != 1:
+            columns = [flat({i: v // g for i, v in pairs(col)}) for col in columns]
+            den //= g
         self.rows = rows
         self.cols = len(columns)
         self.columns = columns
+        self.den = den
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        return SparseMatrix(self.rows, [flat(image(self.columns, b)) for b in other.columns])
+        return SparseMatrix(
+            self.rows,
+            [flat(image(self.columns, b)) for b in other.columns],
+            self.den * other.den,
+        )
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        # column j: the two columns a_j, b_j applied to the vector (1, -1)
-        diff = (0, 1, 1, -1)
+        # column j: the two columns a_j, b_j applied to the vector
+        # (den / a.den, -den / b.den), over the common denominator den
+        den = lcm(self.den, other.den)
+        diff = (0, den // self.den, 1, -den // other.den)
         return SparseMatrix(
-            self.rows, [flat(image(ab, diff)) for ab in zip(self.columns, other.columns)]
+            self.rows, [flat(image(ab, diff)) for ab in zip(self.columns, other.columns)], den
         )
 
     def scale_by(self, c) -> "SparseMatrix":
-        cols = [flat({i: v * c for i, v in pairs(col)}) for col in self.columns]
-        return SparseMatrix(self.rows, cols if c else [()] * self.cols)
+        c = _as_fraction(c)
+        if not c:
+            return SparseMatrix(self.rows, [()] * self.cols)
+        p = c.numerator
+        cols = [flat({i: v * p for i, v in pairs(col)}) if p != 1 else col for col in self.columns]
+        return SparseMatrix(self.rows, cols, self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+        return (self.rows, self.cols, self.den) == (other.rows, other.cols, other.den) and all(
             dict(pairs(a)) == dict(pairs(b)) for a, b in zip(self.columns, other.columns)
         )
 
@@ -321,16 +349,19 @@ class SparseMatrix:
         out = ExactMatrix(self.rows, self.cols)
         for j, col in enumerate(self.columns):
             for i, v in pairs(col):
-                out[i, j] = v
+                out[i, j] = Fraction(v, self.den)
         return out
 
     def is_zero(self) -> bool:
         return not any(self.columns)
 
     def rank(self) -> int:
-        """Rank over Q, as the rank of the transpose: the columns are
+        """Rank over Q, as the rank of the transpose: the integer columns are
         eliminated as sparse rows."""
         return len(echelon(pairs(col) for col in self.columns))
+
+
+_entries = itemgetter(slice(1, None, 2))  # the entries of a flat column
 
 
 def pairs(column: tuple) -> Iterable[tuple[int, Fraction | int]]:

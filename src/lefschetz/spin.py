@@ -33,9 +33,9 @@ GenLabel = tuple
 class PolarizedSpace:
     """Even-dimensional quadratic space with a chosen polarization.
 
-    `m` is the half-dimension; `torus_weights` are the weights of V+ under a
-    torus (V- gets the negated weights).  The pairing is q(v_i, v̂_j) = -δ_ij
-    and q vanishes on V+ and on V-.
+    `m` is the half-dimension; `torus_weights` are the nonzero weights of V+
+    under a torus (V- gets the negated weights).  The pairing is
+    q(v_i, v̂_j) = -δ_ij and q vanishes on V+ and on V-.
     """
 
     m: int
@@ -57,6 +57,14 @@ class PolarizedSpace:
         ranks = {len(w) for w in self.torus_weights}
         if len(self.torus_weights) != self.m or len(ranks) != 1:
             raise ValueError("need m torus weights of a common rank")
+        # prod (1 - x^mu)(1 - x^-mu) = (-1)^m (ch S+ - ch S-)^2 fixes the sign
+        # and parity of both identities only when no factor vanishes
+        zero = next((i for i, w in enumerate(self.torus_weights) if not any(w)), None)
+        if zero is not None:
+            raise ValueError(
+                f"torus weight {zero} is zero: the spin square and the epsilon "
+                "twist then fix no sign or parity"
+            )
 
     @property
     def rank(self) -> int:

@@ -1,5 +1,6 @@
 """Chevalley algebras, parabolic splits, modules, Killing form and Casimir."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -8,17 +9,20 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from lefschetz.algebra import (
+    _sylvester,
     build_chevalley_algebra,
     casimir_eigenvalue,
+    casimir_matrix,
     highest_weight_module,
     parabolic_split,
 )
-from lefschetz.exact import InvariantError, SparseMatrix
+from lefschetz.exact import InvariantError, SparseMatrix, pairs
 from lefschetz.roots import build_root_system
 from lefschetz.verify import CHECKS, Sweep
 
@@ -267,6 +271,104 @@ class TestModules:
             assert reflected == dict(ch.terms)
 
 
+def fraction_bordering_reference(datum, lam):
+    """The word basis (by level, then word) and the coordinates of every
+    candidate word, found as the module builder found them before it went
+    fraction-free: by bordering the inverse Gram matrix in Fractions.  The
+    Shapovalov pairing is the plain word recursion, memoized on word pairs."""
+    simple, rank = datum.simple_roots, datum.rank
+
+    @functools.lru_cache(maxsize=None)
+    def pair(w1, w2):
+        if not w1:
+            return int(not w2)
+        i, total = w1[0], 0
+        c = lam[i]  # <weight of w2[p + 1:], alpha_i^vee>, scanned from the right
+        for p in range(len(w2) - 1, -1, -1):
+            if w2[p] == i and c:
+                total += c * pair(w1[1:], w2[:p] + w2[p + 1 :])
+            c -= simple[w2[p]][i]
+        return total
+
+    def weight(word):
+        return tuple(x - sum(simple[i][k] for i in word) for k, x in enumerate(lam))
+
+    levels, coords = [[()]], {}
+    while levels[-1]:
+        candidates, new_level = {}, []
+        for w in levels[-1]:
+            for i in range(rank):
+                candidates.setdefault(weight((i,) + w), []).append((i,) + w)
+        for wt in sorted(candidates):
+            chosen, inv = [], []
+            for cand in candidates[wt]:
+                b = [pair(x, cand) for x in chosen]
+                u = [sum(g * y for g, y in zip(row, b)) for row in inv]
+                schur = pair(cand, cand) - sum(x * y for x, y in zip(b, u))
+                if schur:
+                    inv = [
+                        [g + ui * uj / schur for g, uj in zip(row, u)] + [-ui / schur]
+                        for row, ui in zip(inv, u)
+                    ]
+                    inv.append([-uj / schur for uj in u] + [Fraction(1, schur)])
+                    chosen.append(cand)
+                    coords[cand] = {cand: 1}
+                else:
+                    coords[cand] = {x: c for x, c in zip(chosen, u) if c}
+            new_level.extend(chosen)
+        levels.append(new_level)
+    return [w for level in levels for w in sorted(level)], coords
+
+
+class TestIntegerModules:
+    def test_inexact_sylvester_division_raises(self):
+        """The bordering's divisions are exact by Sylvester's identity; one
+        that is not raises, under python -O too."""
+        assert _sylvester(-12, 4) == -3
+        with pytest.raises(InvariantError, match="inexact Sylvester division"):
+            _sylvester(7, 2)
+
+    @pytest.mark.parametrize(
+        "label, lam",
+        [("B2", (2, 3)), ("G2", (1, 1)), ("C3", (1, 1, 0)), ("A3", (1, 1, 1)), ("A2", (2, 4))],
+    )
+    def test_operators_and_casimir_hold_ints(self, label, lam):
+        """The benchmark's module pool: every operator, and the Casimir
+        matrix, is integer columns over one reduced denominator."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        ops = [*mod.action.values(), casimir_matrix(alg, mod, "short-root-2")]
+        for op in ops:
+            entries = [v for col in op.columns for _, v in pairs(col)]
+            assert all(type(v) is int for v in entries)
+            assert type(op.den) is int and op.den >= 1 and gcd(op.den, *entries) == 1
+
+    @pytest.mark.parametrize(
+        "label, lam",
+        [
+            (label, lam)
+            for label in ("A2", "B2", "G2")
+            for lam in itertools.product(range(3), repeat=2)
+            if build_root_system(label).weyl_dimension(lam) <= 200
+        ],
+    )
+    def test_bordering_matches_the_fraction_reference(self, label, lam):
+        """The fraction-free bordering takes the same words as the Fraction
+        bordering, and gives every f_i w the same coordinates; a taken word
+        f_i w has the unit coordinate at its own place in the basis.  (G2 at
+        (2,1) and (2,2), dimensions 286 and 729, is left out for time.)"""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        basis, coords = fraction_bordering_reference(alg.datum, lam)
+        index = {w: n for n, w in enumerate(basis)}
+        assert len(basis) == mod.dimension
+        for i, alpha in enumerate(alg.datum.simple_roots):
+            f = mod.action[("f", alpha)].dense()
+            for j, w in enumerate(basis):
+                got = {r: f[r, j] for r in range(f.rows) if f[r, j]}
+                assert got == {index[x]: c for x, c in coords[(i,) + w].items()}, (i, w)
+
+
 class TestCasimir:
     def test_trivial_module(self):
         alg = algebra("A1")
@@ -290,6 +392,23 @@ class TestCasimir:
                 mod = highest_weight_module(alg, lam)
                 for form in ("killing", "short-root-2"):
                     casimir_eigenvalue(alg, mod, form)
+
+    @pytest.mark.parametrize("label, lam", [("A2", (1, 1)), ("B2", (1, 0))])
+    def test_any_corrupted_entry_is_not_scalar(self, label, lam):
+        """Adding 1 to any one nonzero entry of any one operator makes the
+        Casimir matrix non-scalar, and the check, which reads every entry,
+        says so."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        for lab, op in list(mod.action.items()):
+            for j, col in enumerate(op.columns):
+                for p in range(1, len(col), 2):
+                    cols = list(op.columns)
+                    cols[j] = col[:p] + (col[p] + op.den,) + col[p + 1 :]
+                    mod.action[lab] = SparseMatrix(op.rows, cols, op.den)
+                    with pytest.raises(InvariantError, match="Casimir matrix is not scalar"):
+                        casimir_eigenvalue(alg, mod, "killing")
+            mod.action[lab] = op
 
     def test_formula_check_survives_optimize_flag(self):
         """Under python -O a Casimir scalar that disagrees with

@@ -43,13 +43,22 @@ class TestPlainCommands:
         [
             ("B2", "1,1", "892d147642ef0ddf56e5340ca464fe0bac186710592ef46f570a7819dffbd117"),
             ("G2", "1,0", "2a9f53877bb37a1d1d1a667a47fbbdb69eec63785f34b5bf7b670c505f2d08c4"),
+            ("A3", "1,0,1", "afe882445ee14e6b1b2142db779749de52d56f84c9e3de1c73aa97258c0d697f"),
         ],
-        ids=["B2", "G2"],
+        ids=["B2", "G2", "A3"],
     )
     def test_module_actions_pinned(self, capsys, label, weight, digest):
         """The printed action matrices, byte for byte, as the dense builder
-        printed them."""
+        printed them and as the Fraction-entry sparse builder printed them."""
         assert main(["module", "--type", label, "--weight", weight, "--actions"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_cohomology_pinned(self, capsys):
+        """The table of a complex whose e_k carry denominators, byte for byte
+        as it was printed when the scale was read off every entry."""
+        argv = ["cohomology", "--type", "B2", "--levi", "0", "--weight", "1,2"]
+        assert main(argv) == EXIT_OK
+        digest = "067e5aa6684e457faaca8409284a488eb831ddb943d23235c2a1c58e3fc5df81"
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_cohomology(self, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -190,10 +191,14 @@ def test_rank_invariant_under_column_permutation(mat, rng):
         assert all(x == 0 for x in mat.apply(v))
 
 
-def sparse(mat):
+def sparse(mat, kind=Fraction):
+    """The sparse matrix of `mat`, its entries given as `kind`."""
     return SparseMatrix(
         mat.rows,
-        [flat({i: mat[i, j] for i in range(mat.rows) if mat[i, j]}) for j in range(mat.cols)],
+        [
+            flat({i: kind(mat[i, j]) for i in range(mat.rows) if mat[i, j]})
+            for j in range(mat.cols)
+        ],
     )
 
 
@@ -224,8 +229,43 @@ def test_sparse_ops_agree_with_dense(operands):
     assert all(v != 0 for m in results for col in m.columns for _, v in pairs(col))
     assert (sa == sb) == (a == b)
     reordered = [flat(dict(reversed(list(pairs(col))))) for col in sa.columns]
-    shuffled = SparseMatrix(a.rows, reordered)
+    shuffled = SparseMatrix(a.rows, reordered, sa.den)
     assert shuffled == sa and sa - shuffled == SparseMatrix(a.rows, [()] * a.cols)
+
+
+def assert_normal(m):
+    """Integer entries over one positive denominator prime to all of them."""
+    entries = [v for col in m.columns for _, v in pairs(col)]
+    assert all(type(v) is int and v != 0 for v in entries)
+    assert type(m.den) is int and m.den >= 1
+    assert gcd(m.den, *entries) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_operands(), st.booleans())
+def test_sparse_results_are_integers_over_one_denominator(operands, integral):
+    """Built from int or Fraction columns, and after `@`, `-` and
+    `scale_by`, a sparse matrix holds ints over a reduced denominator."""
+    a, b, c, s = operands
+    kind = Fraction
+    if integral:  # the same shapes with int entries
+        a, b, c = (ExactMatrix(m.rows, m.cols, [int(6 * x) for x in m.entries]) for m in (a, b, c))
+        kind = int
+    sa, sb, sc = (sparse(m, kind) for m in (a, b, c))
+    for m in (sa, sb, sc, sa @ sc, sa - sb, sa.scale_by(s), sa.scale_by(s) - sb):
+        assert_normal(m)
+    assert sparse(a.scale_by(4)).dense() == sa.scale_by(4).dense() == a.scale_by(4)
+
+
+def test_sparse_denominator_is_structural():
+    half = SparseMatrix(1, [(0, Fraction(1, 2))])
+    assert (half.columns, half.den) == ([(0, 1)], 2)
+    assert SparseMatrix(1, [(0, 3)], 6) == half
+    assert (half.scale_by(2).columns, half.scale_by(2).den) == ([(0, 1)], 1)
+    zero = half - SparseMatrix(1, [(0, 2)], 4)
+    assert (zero.columns, zero.den) == ([()], 1)
+    with pytest.raises(ValueError):
+        SparseMatrix(1, [(0, 1)], 0)
 
 
 @st.composite

@@ -50,6 +50,15 @@ class TestPolarizedSpace:
         with pytest.raises(ValueError):
             PolarizedSpace(2, ((1, 0),))
 
+    def test_zero_torus_weight_refused(self):
+        """With a zero weight both sides of the spin square vanish, so
+        neither identity fixes a sign or parity: the space is refused, and
+        the message names the zero weight."""
+        with pytest.raises(ValueError, match="torus weight 0 is zero"):
+            PolarizedSpace(1, ((0,),))
+        with pytest.raises(ValueError, match="torus weight 1 is zero"):
+            PolarizedSpace(3, ((1, 2), (0, 0), (-1, 1)))
+
 
 class TestCliffordAction:
     def test_wedge_on_empty(self):
