@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .exact import ExactMatrix, InvariantError, LaurentCharacter, SparseMatrix, Weight
 from .exact import flat, image, pairs, rank_and_kernel
@@ -32,15 +32,15 @@ Label = tuple
 
 
 def _neg(w: Weight) -> Weight:
-    return tuple(-c for c in w)
+    return tuple(map(neg, w))
 
 
 def _add(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class StructureConstants:

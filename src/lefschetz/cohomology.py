@@ -271,12 +271,12 @@ class CohomologyTable:
         return out
 
     def euler_character(self) -> LaurentCharacter:
-        rank = self.split.datum.rank
-        total = LaurentCharacter.zero(rank)
+        total: dict[Weight, int] = {}
         for q, table in enumerate(self.degrees):
-            ch = LaurentCharacter(rank, dict(table))
-            total = total + ch if q % 2 == 0 else total - ch
-        return total
+            sign = (-1) ** q
+            for wt, d in table.items():
+                total[wt] = total.get(wt, 0) + sign * d
+        return LaurentCharacter(self.split.datum.rank, total)
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyTable):

@@ -3,11 +3,13 @@
 Everything here is rational-exact: scalars are `fractions.Fraction`, and
 characters are finite integer-weighted multisets of points of one lattice, the
 weight lattice (`spin` keeps its half-integral weights on the doubled one).
-Dense matrices (`ExactMatrix`) hold Fractions; sparse ones (`SparseMatrix`)
-hold integer columns over one positive denominator, so their products, sums
-and ranks run in integers.  Both are ranked by one fraction-free elimination,
-`echelon`, on sparse rows cleared of denominators; no tolerance, modulus or
-random choice enters.
+The `LaurentCharacter` constructor is the one validating boundary (integral
+points of length `rank`, integral multiplicities); ring operations on valid
+characters build their results directly.  Dense matrices (`ExactMatrix`) hold
+Fractions; sparse ones (`SparseMatrix`) hold integer columns over one positive
+denominator, so their products, sums and ranks run in integers.  Both are
+ranked by one fraction-free elimination, `echelon`, on sparse rows cleared of
+denominators; no tolerance, modulus or random choice enters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -38,11 +40,25 @@ def _as_fraction(x) -> Fraction:
 # Laurent characters
 
 
+def _integral(x) -> int:
+    """x as an int; a ValueError where int() would truncate it."""
+    if type(x) is int:
+        return x
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{x!r} is not integral")
+    return i
+
+
 @dataclass(frozen=True)
 class LaurentCharacter:
     """Virtual character on a rank-r lattice torus.
 
-    `terms` maps lattice points (length `rank`) to nonzero integer multiplicities.
+    `terms` maps lattice points (length `rank`) to nonzero integer
+    multiplicities.  The constructor is the one validating boundary: it
+    checks every point's length and that every coordinate and multiplicity is
+    integral, and drops zero multiplicities.  Ring operations (`+`, `-`, `*`,
+    `dual`) on valid characters build their results directly, through `_of`.
     """
 
     rank: int
@@ -53,9 +69,19 @@ class LaurentCharacter:
         for w, m in self.terms.items():
             if len(w) != self.rank:
                 raise ValueError(f"weight {w} has wrong length for rank {self.rank}")
-            if m != 0:
-                clean[tuple(map(int, w))] = int(m)
+            w, m = tuple(map(_integral, w)), _integral(m)
+            if m:
+                clean[w] = m
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, rank: int, terms: dict[Weight, int]) -> "LaurentCharacter":
+        """The character of `terms`, already integral points of length `rank`
+        with int multiplicities: no checks, only zero multiplicities dropped."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "rank", rank)
+        object.__setattr__(ch, "terms", {w: m for w, m in terms.items() if m})
+        return ch
 
     # -- constructors
 
@@ -85,29 +111,40 @@ class LaurentCharacter:
 
     # -- ring operations
 
-    def __add__(self, other: "LaurentCharacter") -> "LaurentCharacter":
+    def _combine(self, other: "LaurentCharacter", op) -> "LaurentCharacter":
         self._check_rank(other)
         terms = dict(self.terms)
+        get = terms.get
         for w, m in other.terms.items():
-            terms[w] = terms.get(w, 0) + m
-        return LaurentCharacter(self.rank, terms)
+            terms[w] = op(get(w, 0), m)
+        return self._of(self.rank, terms)
+
+    def __add__(self, other: "LaurentCharacter") -> "LaurentCharacter":
+        return self._combine(other, add)
 
     def __sub__(self, other: "LaurentCharacter") -> "LaurentCharacter":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "LaurentCharacter":
-        return LaurentCharacter(self.rank, {w: -m for w, m in self.terms.items()})
+        return self._of(self.rank, {w: -m for w, m in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentCharacter":
         if isinstance(other, int):
-            return LaurentCharacter(self.rank, {w: m * other for w, m in self.terms.items()})
+            return self._of(self.rank, {w: m * other for w, m in self.terms.items()})
+        if not isinstance(other, LaurentCharacter):
+            return NotImplemented
         self._check_rank(other)
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        large = large.items()
         terms: dict[Weight, int] = {}
-        for u, mu in self.terms.items():
-            for v, mv in other.terms.items():
+        get = terms.get
+        for u, mu in small.items():
+            for v, mv in large:
                 w = tuple(map(add, u, v))
-                terms[w] = terms.get(w, 0) + mu * mv
-        return LaurentCharacter(self.rank, terms)
+                terms[w] = get(w, 0) + mu * mv
+        return self._of(self.rank, terms)
 
     __rmul__ = __mul__
 
@@ -129,9 +166,7 @@ class LaurentCharacter:
         return sum(self.terms.values())
 
     def dual(self) -> "LaurentCharacter":
-        return LaurentCharacter(
-            self.rank, {tuple(-c for c in w): m for w, m in self.terms.items()}
-        )
+        return self._of(self.rank, {tuple(map(neg, w)): m for w, m in self.terms.items()})
 
     def weight_list(self) -> list[Weight]:
         """Weights repeated with multiplicity; requires an effective character."""

@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lefschetz import cohomology
 from lefschetz.algebra import build_chevalley_algebra, highest_weight_module, parabolic_split
 from lefschetz.cohomology import (
     ChainComplex,
+    CohomologyTable,
     build_ce_complex,
     cohomology_table,
     euler_character_check,
@@ -23,7 +26,13 @@ from lefschetz.cohomology import (
     kostant_weights,
     weight_multiplicities,
 )
-from lefschetz.exact import ExactMatrix, InvariantError, pairs, rank_and_kernel
+from lefschetz.exact import (
+    ExactMatrix,
+    InvariantError,
+    LaurentCharacter,
+    pairs,
+    rank_and_kernel,
+)
 from lefschetz.roots import RootDatum, build_root_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -368,6 +377,36 @@ class TestHomologyAndEuler:
     def test_euler_character_b2(self):
         _, split, mod = setup("B2", {1}, (1, 1))
         assert euler_character_check(split, mod)
+
+
+BORELS = {
+    label: parabolic_split(build_chevalley_algebra(build_root_system(label)), ())
+    for label in ("A1", "B2", "A3")
+}
+
+
+@st.composite
+def cohomology_tables(draw):
+    """Tables whose degrees draw their weights from one small pool, so that
+    terms cancel across degrees, some completely."""
+    split = BORELS[draw(st.sampled_from(sorted(BORELS)))]
+    point = st.tuples(*[st.integers(-2, 2)] * split.datum.rank)
+    pool = draw(st.lists(point, min_size=1, max_size=3, unique=True))
+    table = st.dictionaries(st.sampled_from(pool), st.integers(1, 3), max_size=len(pool))
+    return CohomologyTable(split, draw(st.lists(table, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cohomology_tables())
+@example(CohomologyTable(BORELS["A1"], [{(0,): 1, (2,): 2}, {(0,): 1}, {(2,): 1}, {(2,): 3}]))
+def test_euler_character_is_the_alternating_fold(table):
+    rank = table.split.datum.rank
+    fold = LaurentCharacter.zero(rank)
+    for q, degree in enumerate(table.degrees):
+        ch = LaurentCharacter(rank, degree)
+        fold = fold + ch if q % 2 == 0 else fold - ch
+    euler = table.euler_character()
+    assert (euler.rank, euler.terms) == (fold.rank, fold.terms)
 
 
 def dense(block):

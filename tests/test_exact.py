@@ -56,6 +56,29 @@ class TestLaurentCharacter:
         with pytest.raises(ValueError):
             mono((1,)) + mono((1, 2))
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{(0,): Fraction(1, 2)}, {(Fraction(1, 2),): 1}, {(0.7,): 2.9}],
+        ids=["fraction_multiplicity", "fraction_coordinate", "floats"],
+    )
+    def test_non_integral_input_rejected(self, terms):
+        """int() would truncate these to {(0,): 0}, {(0,): 1} and {(0,): 2}."""
+        with pytest.raises(ValueError, match="not integral"):
+            LaurentCharacter(1, terms)
+
+    def test_integral_input_stored_as_int(self):
+        ch = LaurentCharacter(1, {(Fraction(4, 2),): 3.0})
+        assert ch.terms == {(2,): 3}
+        assert all(type(c) is int for w, m in ch.terms.items() for c in (*w, m))
+
+    @pytest.mark.parametrize("scalar", [Fraction(1, 2), 2.5], ids=["fraction", "float"])
+    def test_non_integer_scalar_is_a_type_error(self, scalar):
+        ch = mono((1,))
+        with pytest.raises(TypeError):
+            ch * scalar
+        with pytest.raises(TypeError):
+            scalar * ch
+
 
 class TestExteriorPowers:
     def test_zeroth_power_is_one(self):
@@ -282,22 +305,52 @@ def characters(draw, count):
     return tuple(character() for _ in range(count))
 
 
-@settings(max_examples=150, deadline=None)
-@given(characters(2))
-def test_product_matches_validating_constructor(operands):
-    """The product equals the convolution built through the validating
-    constructor, term for term, and stores no zero multiplicity."""
-    a, b = operands
+def _convolution(a, b):
     terms = {}
     for u, mu in a.terms.items():
         for v, mv in b.terms.items():
             w = tuple(x + y for x, y in zip(u, v))
             terms[w] = terms.get(w, 0) + mu * mv
-    expected = LaurentCharacter(a.rank, terms)
-    prod = a * b
-    assert (prod.rank, prod.terms) == (expected.rank, expected.terms)
-    assert 0 not in prod.terms.values()
-    assert prod == expected and hash(prod) == hash(expected)
+    return terms
+
+
+def _signed_sum(*signed):
+    terms = {}
+    for ch, sign in signed:
+        for w, m in ch.terms.items():
+            terms[w] = terms.get(w, 0) + sign * m
+    return terms
+
+
+# name -> (operation on (a, b, k), its terms built by plain loops)
+RING_OPERATIONS = {
+    "mul": (lambda a, b, k: a * b, lambda a, b, k: _convolution(a, b)),
+    "add": (lambda a, b, k: a + b, lambda a, b, k: _signed_sum((a, 1), (b, 1))),
+    "sub": (lambda a, b, k: a - b, lambda a, b, k: _signed_sum((a, 1), (b, -1))),
+    "neg": (lambda a, b, k: -a, lambda a, b, k: _signed_sum((a, -1))),
+    "times_int": (lambda a, b, k: a * k, lambda a, b, k: _signed_sum((a, k))),
+    "int_times": (lambda a, b, k: k * a, lambda a, b, k: _signed_sum((a, k))),
+    "times_zero": (lambda a, b, k: a * 0, lambda a, b, k: _signed_sum((a, 0))),
+    "dual": (
+        lambda a, b, k: a.dual(),
+        lambda a, b, k: {tuple(-c for c in w): m for w, m in a.terms.items()},
+    ),
+}
+
+
+@pytest.mark.parametrize("op", RING_OPERATIONS)
+@settings(max_examples=150, deadline=None)
+@given(operands=characters(2), k=st.integers(-3, 3))
+def test_product_matches_validating_constructor(op, operands, k):
+    """Every ring operation equals its result built through the validating
+    constructor, term for term, and stores no zero multiplicity."""
+    a, b = operands
+    operation, reference = RING_OPERATIONS[op]
+    expected = LaurentCharacter(a.rank, reference(a, b, k))
+    result = operation(a, b, k)
+    assert (result.rank, result.terms) == (expected.rank, expected.terms)
+    assert 0 not in result.terms.values()
+    assert result == expected and hash(result) == hash(expected)
 
 
 class TestCharacterProductProperties:
