@@ -1,9 +1,12 @@
 """Chevalley-Eilenberg cohomology of the nilradical, graded by Cartan weight.
 
 Cochains C^q = V ⊗ ∧^q n* and chains C_p = V ⊗ ∧^p n come from one Koszul
-builder as sparse integer blocks per h-weight, which the maps preserve.
-d² = 0 is checked on every entry, and each block is ranked once, by
-fraction-free elimination, for both degrees it joins.  An independent
+builder as sparse integer blocks per h-weight, which the maps preserve; each
+term of a map has its own pair of labels, so the columns are assembled by
+appending.  d² = 0 is checked once per complex, on every entry, by applying
+each map to the columns of the one before.  Each block is ranked once, by
+fraction-free elimination, for both degrees it joins; where d² = 0 holds,
+im d ⊆ ker d bounds the rank, and the elimination stops there.  An independent
 prediction of the cohomology (minimal coset representatives acting on the
 shifted highest weight, with Levi weight multiplicities from Freudenthal's
 recursion) serves as an oracle; homology feeds the duality check.
@@ -20,7 +23,7 @@ from typing import Iterator
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import alternating_exterior_sum, flat, pairs
+from .exact import alternating_exterior_sum, pairs
 from .roots import RootDatum
 
 
@@ -87,13 +90,11 @@ LEVI_DIMENSION_BOUND = 1 << 20
 # The Chevalley-Eilenberg complex
 
 # Largest complex built, in cochains dim V * 2^|n|; the build keeps about
-# 0.4 KiB per cochain (Python-level peak, measured at 4096 cochains), so this
-# bounds it near 100 MB.  The largest complex in the tests has 4096 cochains.
+# 0.4 KiB per cochain, so this bounds it near 100 MB.  Measured as the
+# tracemalloc peak of `build_ce_complex` (Python 3.11) on the 4096-cochain
+# Borel complexes, the largest in the tests: 0.40 KiB per cochain for D4 with
+# the trivial module, 0.25 for B3 (0,0,1) and 0.24 for A3 (1,1,1).
 MAX_COCHAINS = 1 << 18
-
-
-def _mask(subset: tuple[int, ...]) -> int:
-    return sum(1 << k for k in subset)
 
 
 class CEComplex:
@@ -105,11 +106,17 @@ class CEComplex:
     weight wt_j + Σ_S α and ∂_q removes one.  Between subsets small ⊂ big both
     maps have the terms (-1)^pos(k, big) e_k for big = small ∪ {k}, and
     (-1)^(pos(g, small) + pos(a, big) + pos(b, big)) N, negated for chains,
-    for small = R ∪ {g}, big = R ∪ {a, b} and [e_a, e_b] = N e_g.
+    for small = R ∪ {g}, big = R ∪ {a, b} and [e_a, e_b] = N e_g.  Each term
+    has its own (source label, target label) pair, so the columns are
+    assembled by appending, and the maps preserve the weight because every
+    e_k does: wt_j' = wt_j + α_k is checked once per entry of e_k.
 
     `differentials[q]` maps degree q to degree q + step.  Its blocks are the
-    map times `scale`, the lcm of the e_k's denominators `den`: integral, and
-    with the ranks and zero composites of the map itself.
+    map times `scale`, the lcm of the e_k's denominators `den`: integral, with
+    distinct rows per column and `den` 1, and with the ranks and zero
+    composites of the map itself.  `verify_complex` checks d² = 0 once and
+    keeps the verdict, which `cohomology_table` uses to bound the ranks; the
+    blocks are not changed after the build.
     """
 
     step = 1
@@ -125,119 +132,146 @@ class CEComplex:
                 f"{dim << top} cochains (dim V = {dim}, |n| = {top}) exceed "
                 f"the limit MAX_COCHAINS = {MAX_COCHAINS}"
             )
+        self._closed: bool | None = None
         # bases[q]: weight -> list of (module index, sorted tuple of root indices)
         self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
-        # label key mask * dim + j (mask: the subset as bits) -> the number of
-        # its weight block within its degree, and its position in that block
-        block = [0] * (dim << top)
+        # label key mask * dim + j (mask: the subset as bits) -> its position
+        # in its weight block, and the list its column is appended to
         position = [0] * (dim << top)
+        column: list[list] = [None] * (dim << top)
+        columns: list[dict[Weight, list[list]]] = []  # per degree, per weight
         factor = [_neg(r) if self.step > 0 else r for r in self.n_roots]
         shifts = {0: (0,) * len(mod.highest_weight)}  # mask -> weight of its factors
         for q in range(top + 1):
             blocks: dict[Weight, list] = {}
-            ids: dict[Weight, int] = {}
+            cols: dict[Weight, list[list]] = {}
             prev, shifts = shifts, {}  # the masks of degrees q - 1 and q
-            for subset in combinations(range(top), q):
-                mask = _mask(subset)
-                if subset:  # prev holds the subset without its first root
-                    shifts[mask] = _add(prev[mask & (mask - 1)], factor[subset[0]])
-                else:
-                    shifts[mask] = prev[0]
-                shift = shifts[mask]
+            masks = map(sum, combinations([1 << k for k in range(top)], q))
+            for subset, mask in zip(combinations(range(top), q), masks):
+                # prev holds the subset without its first (lowest) root
+                shift = shifts[mask] = (
+                    _add(prev[mask & (mask - 1)], factor[subset[0]]) if subset else prev[0]
+                )
+                key = mask * dim
                 for j, wt in enumerate(mod.basis_weights):
                     wt = _add(wt, shift)
                     labels = blocks.setdefault(wt, [])
-                    block[mask * dim + j] = ids.setdefault(wt, len(ids))
-                    position[mask * dim + j] = len(labels)
+                    position[key + j] = len(labels)
                     labels.append((j, subset))
+                    column[key + j] = col = []
+                    cols.setdefault(wt, []).append(col)
             self.bases.append(blocks)
-        # each e_k read once, times scale: integer columns act[k][j] = [(j', entry)]
+            columns.append(cols)
+        self.scale = self._assemble(position, column)
+        del position, column  # each column list is now held by its block alone
+        self.differentials: list[dict[Weight, SparseMatrix]] = []
+        for q, cols in enumerate(columns):
+            target = self.bases[q + self.step] if 0 <= q + self.step <= top else {}
+            maps: dict[Weight, SparseMatrix] = {}
+            for wt, c in cols.items() if target else ():
+                c[:] = map(tuple, c)  # flat tuples in place of the lists
+                maps[wt] = SparseMatrix._of(len(target.get(wt, ())), c)
+            self.differentials.append(maps)
+
+    def _assemble(self, position, column) -> int:
+        """Append every term of the map to the column of its source label,
+        as (row, entry) with the entries times the returned scale."""
+        mod, top, step = self.module, self.top, self.step
+        dim, weights = mod.dimension, mod.basis_weights
         actions = [mod.action[("e", r)] for r in self.n_roots]
-        self.scale = lcm(*(e.den for e in actions))
-        act = [
-            [[(jp, c * (self.scale // e.den)) for jp, c in pairs(col)] for col in e.columns]
-            for e in actions
-        ]
-        # brackets[g]: (a, b, N) with a < b and [e_a, e_b] = N e_g, N != 0
-        sc = split.algebra.constants
+        scale = lcm(*(e.den for e in actions))
+        for k, (e, root) in enumerate(zip(actions, self.n_roots)):
+            # e_k once, times scale, as (j, j', entry); skipped if it acts as zero
+            terms = [
+                (j, jp, c * (scale // e.den))
+                for j, col in enumerate(e.columns)
+                for jp, c in pairs(col)
+            ]
+            if not terms:
+                continue
+            for j, jp, _ in terms:
+                if weights[jp] != _add(weights[j], root):
+                    raise InvariantError("the map does not preserve the weight")
+            negated = [(j, jp, -c) for j, jp, c in terms]
+            bit = 1 << k
+            for small in range(1 << top):
+                if small & bit:
+                    continue
+                big = small | bit
+                src, dst = (small * dim, big * dim) if step > 0 else (big * dim, small * dim)
+                # the sign (-1)^pos(k, big): the roots of small before k
+                for j, jp, c in negated if (small & (bit - 1)).bit_count() & 1 else terms:
+                    col = column[src + j]
+                    col.append(position[dst + jp])
+                    col.append(c)
+        # [e_a, e_b] = N e_g with a < b: the subsets R ∪ {g} and R ∪ {a, b}
+        # for every R that avoids a, b and g
+        sc = self.split.algebra.constants
         n_index = {r: k for k, r in enumerate(self.n_roots)}
-        brackets: list[list[tuple[int, int, int]]] = [[] for _ in range(top)]
+        full = (1 << top) - 1
         for a, b in combinations(range(top), 2):
             g = n_index.get(_add(self.n_roots[a], self.n_roots[b]))
             nval = sc.n(self.n_roots[a], self.n_roots[b]) if g is not None else 0
-            if nval:
-                brackets[g].append((a, b, nval))
-        self.differentials: list[dict[Weight, SparseMatrix]] = [
-            self._differential(q, block, position, act, brackets)
-            for q in range(top + 1)
-        ]
+            if not nval:
+                continue
+            others = full & ~(1 << a | 1 << b | 1 << g)
+            # pos(g, small) + pos(a, big) + pos(b, big) is 1 (b follows a)
+            # plus the number of roots of R before g, a and b, whose parity
+            # is that of R & before
+            before = ((1 << a) - 1) ^ ((1 << b) - 1) ^ ((1 << g) - 1)
+            signed = (-nval * step * scale, nval * step * scale)
+            rest = others
+            while True:
+                small, big = rest | 1 << g, rest | 1 << a | 1 << b
+                c = signed[(rest & before).bit_count() & 1]
+                src, dst = (small * dim, big * dim) if step > 0 else (big * dim, small * dim)
+                for col, row in zip(column[src : src + dim], position[dst : dst + dim]):
+                    col.append(row)
+                    col.append(c)
+                if not rest:
+                    break
+                rest = (rest - 1) & others
+        return scale
 
     def cochain_dimension(self, q: int) -> int:
         if not 0 <= q <= self.top:
             return 0
         return sum(len(v) for v in self.bases[q].values())
 
-    def _differential(
-        self, q, block, position, act, brackets
-    ) -> dict[Weight, SparseMatrix]:
-        """Blocks of the map from degree q to degree q + step."""
-        s = min(q, q + self.step)  # the degree of the smaller subsets
-        if not 0 <= s < self.top:
-            return {}
-        dim = self.module.dimension
-        src_weights, dst_weights = list(self.bases[q]), list(self.bases[q + self.step])
-        cols = [[{} for _ in labels] for labels in self.bases[q].values()]
-
-        def add(small, big, j, jp, c):
-            src, dst = (small, big) if self.step > 0 else (big, small)
-            src, dst = src * dim + j, dst * dim + jp
-            if dst_weights[block[dst]] != src_weights[block[src]]:
-                raise InvariantError("the map does not preserve the weight")
-            entries = cols[block[src]][position[src]]
-            v = entries.pop(position[dst], 0) + c
-            if v:
-                entries[position[dst]] = v
-
-        def sign(k, mask):
-            return -1 if (mask & ((1 << k) - 1)).bit_count() & 1 else 1
-
-        for big in map(_mask, combinations(range(self.top), s + 1)):
-            for k in range(self.top):
-                if not big >> k & 1:
-                    continue
-                for j, col in enumerate(act[k]):
-                    for jp, c in col:
-                        add(big ^ (1 << k), big, j, jp, sign(k, big) * c)
-        for small in map(_mask, combinations(range(self.top), s)):
-            for g in range(self.top):
-                if not small >> g & 1:
-                    continue
-                rest = small ^ (1 << g)
-                for a, b, nval in brackets[g]:
-                    if rest & (1 << a | 1 << b):
-                        continue
-                    big = rest | (1 << a) | (1 << b)
-                    c = sign(g, small) * sign(a, big) * sign(b, big) * nval
-                    for j in range(dim):
-                        add(small, big, j, j, c * self.step * self.scale)
-        return {
-            wt: SparseMatrix(len(self.bases[q + self.step].get(wt, ())), list(map(flat, c)))
-            for wt, c in zip(src_weights, cols)
-        }
-
     def verify_complex(self) -> bool:
-        """Every entry of each map composed with the next is exactly zero."""
-        for q, blocks in enumerate(self.differentials):
-            if not 0 <= q + self.step <= self.top:
-                continue
-            for wt, d0 in blocks.items():
-                d1 = self.differentials[q + self.step].get(wt)
-                if d1 is not None and not (d1 @ d0).is_zero():
-                    return False
-        return True
+        """Every entry of each map composed with the next is exactly zero:
+        each block of d_{q+step} is applied to the columns of d_q, and the
+        first nonzero entry decides.  Checked once; the verdict is kept."""
+        if self._closed is None:
+            self._closed = all(  # no blocks where q + step is out of range
+                _composes_to_zero(self.differentials[q + self.step].get(wt), d0)
+                for q, blocks in enumerate(self.differentials)
+                for wt, d0 in blocks.items()
+            )
+        return self._closed
 
     def table(self) -> CohomologyTable:
         return cohomology_table(self)
+
+
+def _composes_to_zero(d1: SparseMatrix | None, d0: SparseMatrix) -> bool:
+    """d1 applied to each column of d0 gives zero (None: no map).  The loop
+    of `exact.image`, inlined: the d² checks of the three 4096-cochain Borel
+    complexes take 26 ms so, 33-40 ms through `image` (Python 3.11, 2 vCPU)."""
+    if d1 is None:
+        return True
+    c1 = d1.columns
+    for col in d0.columns:
+        acc: dict[int, int] = {}
+        get = acc.get
+        it = iter(col)
+        for k, a in zip(it, it):
+            jt = iter(c1[k])
+            for i, b in zip(jt, jt):
+                acc[i] = get(i, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
 
 
 def build_ce_complex(split: ParabolicSplit, mod: WeightModule) -> CEComplex:
@@ -307,18 +341,25 @@ class CohomologyTable:
 
 def cohomology_table(cx: CEComplex) -> CohomologyTable:
     """Dimensions dim C_q - rank(out of q) - rank(into q) per weight block;
-    every block is ranked once, and its rank serves both degrees it joins."""
-    ranks = [{wt: d.rank() for wt, d in blocks.items()} for blocks in cx.differentials]
-    degrees: list[dict[Weight, int]] = []
-    for q, blocks in enumerate(cx.bases):
+    each block is ranked once, and its rank serves both degrees it joins.
+    The maps are ranked in the order they compose, and where d² = 0 holds
+    (`verify_complex`), im d_{q-step} ⊆ ker d_q bounds the rank of d_q by
+    min(rows, dim C_q - rank d_{q-step}) per block: its elimination stops at
+    that many pivots.  Where d² ≠ 0 every block is ranked in full."""
+    closed = cx.verify_complex()
+    ranks: list[dict[Weight, int]] = [{} for _ in cx.bases]
+    degrees: list[dict[Weight, int]] = [{} for _ in cx.bases]
+    for q in range(cx.top + 1) if cx.step > 0 else range(cx.top, -1, -1):
         prev = q - cx.step
         into = ranks[prev] if 0 <= prev <= cx.top else {}
-        table: dict[Weight, int] = {}
-        for wt, labels in blocks.items():
-            h = len(labels) - ranks[q].get(wt, 0) - into.get(wt, 0)
+        out = ranks[q] = {
+            wt: d.rank(min(d.rows, d.cols - into.get(wt, 0)) if closed else None)
+            for wt, d in cx.differentials[q].items()
+        }
+        for wt, labels in cx.bases[q].items():
+            h = len(labels) - out.get(wt, 0) - into.get(wt, 0)
             if h:
-                table[wt] = h
-        degrees.append(table)
+                degrees[q][wt] = h
     return CohomologyTable(cx.split, degrees)
 
 

@@ -112,6 +112,8 @@ class LaurentCharacter:
     # -- ring operations
 
     def _combine(self, other: "LaurentCharacter", op) -> "LaurentCharacter":
+        if not isinstance(other, LaurentCharacter):
+            return NotImplemented
         self._check_rank(other)
         terms = dict(self.terms)
         get = terms.get
@@ -345,6 +347,14 @@ class SparseMatrix:
         self.columns = columns
         self.den = den
 
+    @classmethod
+    def _of(cls, rows: int, columns: list[tuple]) -> "SparseMatrix":
+        """The matrix of integer flat `columns` over `den` 1, each with
+        distinct rows and nonzero int entries: no scan, no checks."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.columns, m.den = rows, len(columns), columns, 1
+        return m
+
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -387,13 +397,12 @@ class SparseMatrix:
                 out[i, j] = Fraction(v, self.den)
         return out
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def rank(self) -> int:
+    def rank(self, stop: int | None = None) -> int:
         """Rank over Q, as the rank of the transpose: the integer columns are
-        eliminated as sparse rows."""
-        return len(echelon(pairs(col) for col in self.columns))
+        eliminated as sparse rows, last column first (on the Koszul blocks
+        this halves the time of first column first).  With `stop`, a bound
+        the caller has proved, it ends at `stop` pivots (none for 0)."""
+        return len(echelon((pairs(col) for col in reversed(self.columns)), stop))
 
 
 _entries = itemgetter(slice(1, None, 2))  # the entries of a flat column
@@ -421,15 +430,18 @@ def image(columns: Sequence[tuple], column: tuple) -> dict[int, Fraction | int]:
 
 
 def echelon(
-    rows: Iterable[Iterable[tuple[int, Fraction | int]]]
+    rows: Iterable[Iterable[tuple[int, Fraction | int]]], stop: int | None = None
 ) -> dict[int, dict[int, int]]:
     """Fraction-free echelon form of sparse rational rows given as (column,
     nonzero entry) pairs: each row is cleared of denominators, reduced over
     the integers against the pivot rows until its leading (smallest) column
     is new, and divided by its content.  Maps each pivot column to its row;
-    the number of pivots is the rank."""
+    the number of pivots is the rank.  With `stop`, no further row is read
+    once there are `stop` pivots: the rank is then min(rank, stop)."""
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
+        if len(pivots) == stop:
+            break
         row = dict(vec)
         if any(type(x) is not int for x in row.values()):
             den = lcm(*(x.denominator for x in row.values()))

@@ -61,6 +61,21 @@ class TestPlainCommands:
         digest = "067e5aa6684e457faaca8409284a488eb831ddb943d23235c2a1c58e3fc5df81"
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "label, weight, digest",
+        [
+            ("D4", "0,0,0,0", "5a952ec582e5859acd994d15468495744abb2623318003187643506fb38d5334"),
+            ("B3", "0,0,1", "fc9370f07957cfe25e8a76566b988509c4bf45e44ae987939477de4230cac205"),
+            ("A3", "1,1,1", "6f4842a26fea6012d31039f680886aee98664dcf78841da963a1551990b4fd35"),
+        ],
+        ids=["D4", "B3", "A3"],
+    )
+    def test_cohomology_borel_pinned(self, capsys, label, weight, digest):
+        """The tables of the three 4096-cochain Borel complexes, byte for byte
+        as they were printed when every block was ranked in full."""
+        assert main(["cohomology", "--type", label, "--weight", weight]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_cohomology(self, capsys):
         code, obj = run(capsys, "cohomology", "--type", "A1", "--weight", "0")
         assert code == EXIT_OK

@@ -1,5 +1,7 @@
 """Nilradical cohomology: the complex, the prediction oracle, homology."""
 
+import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -30,6 +32,9 @@ from lefschetz.exact import (
     ExactMatrix,
     InvariantError,
     LaurentCharacter,
+    SparseMatrix,
+    echelon,
+    flat,
     pairs,
     rank_and_kernel,
 )
@@ -435,6 +440,150 @@ def test_sparse_rank_matches_dense_elimination(label):
                         reverse = list(range(mat.cols))[::-1]
                         assert rank == rank_and_kernel(mat)[0]
                         assert rank == rank_and_kernel(mat, col_order=reverse)[0]
+
+
+# ---------------------------------------------------------------------------
+# The CE pipeline's invariants: blocks in normal form, d² checked once, ranks
+# bounded by d² = 0, and the weight check on the e_k
+
+
+def _ce_cases():
+    for label in ("A2", "B2"):
+        for levi in ((), (0,), (1,), (0, 1)):
+            for lam in itertools.product(range(3), repeat=2):
+                yield label, levi, lam
+    for levi in ((), (0,), (1,), (0, 1)):
+        yield "G2", levi, (1, 0)
+    yield from (("A3", (), (1, 1, 1)), ("B3", (), (0, 0, 1)), ("D4", (), (0, 0, 0, 0)))
+
+
+CE_CASES = list(_ce_cases())
+KINDS = {"cochains": build_ce_complex, "chains": ChainComplex}
+
+
+def _case_id(case):
+    label, levi, lam = case
+    return f"{label}-levi{''.join(map(str, levi))}-{''.join(map(str, lam))}"
+
+
+@functools.lru_cache(maxsize=None)
+def _split_and_module(label, levi, lam):
+    return setup(label, levi, lam)[1:]
+
+
+def unbounded_table(cx):
+    """The table with every block ranked in full, first column first."""
+    ranks = [
+        {wt: len(echelon(pairs(col) for col in d.columns)) for wt, d in blocks.items()}
+        for blocks in cx.differentials
+    ]
+    degrees = []
+    for q, blocks in enumerate(cx.bases):
+        prev = q - cx.step
+        into = ranks[prev] if 0 <= prev <= cx.top else {}
+        dims = {wt: len(b) - ranks[q].get(wt, 0) - into.get(wt, 0) for wt, b in blocks.items()}
+        degrees.append({wt: h for wt, h in dims.items() if h})
+    return degrees
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("case", CE_CASES, ids=_case_id)
+def test_ce_blocks_in_normal_form_and_table_matches_unbounded_ranks(case, kind):
+    """Every block: one column per source label, distinct rows inside the
+    target block, nonzero int entries over den 1; and the table, whose
+    ranks stop at the d² = 0 bound, equals the table of full ranks."""
+    cx = KINDS[kind](*_split_and_module(*case))
+    for q, blocks in enumerate(cx.differentials):
+        target = cx.bases[q + cx.step] if 0 <= q + cx.step <= cx.top else {}
+        assert blocks.keys() == (cx.bases[q].keys() if target else set())
+        for wt, d in blocks.items():
+            assert type(d.den) is int and d.den == 1
+            assert (d.rows, d.cols) == (len(target.get(wt, ())), len(cx.bases[q][wt]))
+            for col in d.columns:
+                rows = col[::2]
+                assert len(set(rows)) == len(rows) and all(0 <= i < d.rows for i in rows)
+                assert all(type(v) is int and v for v in col[1::2])
+    assert cx.verify_complex()
+    assert cohomology_table(cx).degrees == unbounded_table(cx)
+
+
+def _set_entry(block, col, row):
+    """Double the entry (row, col) of a block, or make it 1 if it is zero."""
+    entries = dict(pairs(block.columns[col]))
+    entries[row] = 2 * entries[row] if row in entries else 1
+    block.columns[col] = flat(entries)
+
+
+def _corrupt_one_entry(cx):
+    """Change one entry of a pair of composable blocks d_q, d_{q+step} so
+    that d_{q+step} d_q is no longer zero: in d_q, an entry in a row whose
+    column of d_{q+step} is nonzero, or in d_{q+step}, an entry in a column
+    whose row of d_q is nonzero."""
+    for q, blocks in enumerate(cx.differentials):
+        if not 0 <= q + cx.step <= cx.top:
+            continue
+        for wt, d0 in blocks.items():
+            d1 = cx.differentials[q + cx.step].get(wt)
+            if d1 is None:
+                continue
+            hit = next((r for r, col in enumerate(d1.columns) if col), None)
+            if hit is not None and d0.cols:
+                return _set_entry(d0, 0, hit)
+            hit = next((col[0] for col in d0.columns if col), None)
+            if hit is not None and d1.rows:
+                return _set_entry(d1, hit, 0)
+    raise AssertionError("no entry of this complex enters a composite")
+
+
+# Nontrivial modules and nilradicals: an e_k of n acts nonzero on V
+NONTRIVIAL = [c for c in CE_CASES if any(c[2]) and len(c[1]) < len(c[2])]
+# the maximal parabolics of A2 on C^3 and its dual, and of B2 on the spin
+# module: no weight block has two composable maps that are not both zero,
+# so that no single entry breaks d^2 = 0
+NOT_CORRUPTIBLE = {
+    ("A2", (0,), (0, 1)),
+    ("A2", (0,), (1, 0)),
+    ("A2", (1,), (0, 1)),
+    ("A2", (1,), (1, 0)),
+    ("B2", (1,), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize(
+    "case", [c for c in NONTRIVIAL if c not in NOT_CORRUPTIBLE], ids=_case_id
+)
+def test_corrupted_complex_is_ranked_in_full(case, kind):
+    """With one corrupted entry the d² verdict is False, and the table is
+    that of the full ranks: the bound, which needs d² = 0, is not used."""
+    cx = KINDS[kind](*_split_and_module(*case))
+    _corrupt_one_entry(cx)
+    assert cx.verify_complex() is False
+    assert cohomology_table(cx).degrees == unbounded_table(cx)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("case", NONTRIVIAL, ids=_case_id)
+def test_e_k_entry_at_a_wrong_weight_is_refused(case, kind):
+    """One entry of an n-root's e_k moved to a row of another weight: the
+    complex is refused before any block is built."""
+    split, mod = _split_and_module(*case)
+    weights = mod.basis_weights
+    for r in split.n_roots:
+        e = mod.action[("e", r)]
+        j = next((j for j, col in enumerate(e.columns) if col), None)
+        if j is not None:
+            break
+    (row, value), *rest = pairs(e.columns[j])
+    taken = e.columns[j][::2]
+    wrong = next(i for i, w in enumerate(weights) if w != weights[row] and i not in taken)
+    columns = list(e.columns)
+    columns[j] = flat({wrong: value, **dict(rest)})
+    action = dict(mod.action)
+    action[("e", r)] = SparseMatrix(e.rows, columns, e.den)
+    bad = dataclasses.replace(mod, action=action)
+    with pytest.raises(InvariantError, match="the map does not preserve the weight"):
+        KINDS[kind](split, bad)
 
 
 def test_homology_invariant_survives_optimize_flag():

@@ -13,6 +13,7 @@ from lefschetz.exact import (
     LaurentCharacter,
     SparseMatrix,
     alternating_exterior_sum,
+    echelon,
     exterior_power_character,
     flat,
     pairs,
@@ -78,6 +79,14 @@ class TestLaurentCharacter:
             ch * scalar
         with pytest.raises(TypeError):
             scalar * ch
+
+    @pytest.mark.parametrize("other", [1, 0.5, "x"], ids=["int", "float", "str"])
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_non_character_operand_is_a_type_error(self, op, other):
+        """Not an AttributeError from reading `other.rank`."""
+        ch = LaurentCharacter.one(1)
+        with pytest.raises(TypeError):
+            ch + other if op == "+" else ch - other
 
 
 class TestExteriorPowers:
@@ -183,7 +192,7 @@ class TestExactMatrix:
 def test_sparse_product_and_zero():
     d0 = SparseMatrix(2, [(0, 1, 1, -1)])
     d1 = SparseMatrix(1, [(0, Fraction(1, 3)), (0, Fraction(1, 3))])
-    assert (d1 @ d0).is_zero()
+    assert not any((d1 @ d0).columns)
     assert (d0 @ SparseMatrix(1, [(0, 2)])).columns == [(0, 2, 1, -2)]
 
 
@@ -370,3 +379,33 @@ class TestCharacterProductProperties:
         assert a * (b + c) == a * b + a * c
         assert a * LaurentCharacter.one(a.rank) == a
         assert a - a == LaurentCharacter.zero(a.rank)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """A few sparse integer rows over up to 6 columns, some of them sums of
+    earlier ones, so that the rank is often below the number of rows."""
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: x for c, x in row.items() if x})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, width - 1), entry, max_size=width)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_integer_rows(), st.integers(0, 3))
+def test_echelon_stop_at_or_above_rank_gives_the_rank(rows, extra):
+    """A stop at or above the rank reads as many pivots as no stop; a stop
+    of 0 eliminates nothing."""
+    rank = len(echelon(row.items() for row in rows))
+    assert len(echelon((row.items() for row in rows), rank + extra)) == rank
+    assert echelon((row.items() for row in rows), 0) == {}
+    columns = [flat(row) for row in rows]
+    assert SparseMatrix(6, columns).rank(rank + extra) == rank == SparseMatrix(6, columns).rank()
+    assert SparseMatrix(6, columns).rank(0) == 0
