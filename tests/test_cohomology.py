@@ -518,7 +518,8 @@ def _corrupt_one_entry(cx):
     """Change one entry of a pair of composable blocks d_q, d_{q+step} so
     that d_{q+step} d_q is no longer zero: in d_q, an entry in a row whose
     column of d_{q+step} is nonzero, or in d_{q+step}, an entry in a column
-    whose row of d_q is nonzero."""
+    whose row of d_q is nonzero.  The d² verdict is kept from the first
+    check, so only a complex not checked yet sees the change."""
     for q, blocks in enumerate(cx.differentials):
         if not 0 <= q + cx.step <= cx.top:
             continue
@@ -560,6 +561,21 @@ def test_corrupted_complex_is_ranked_in_full(case, kind):
     _corrupt_one_entry(cx)
     assert cx.verify_complex() is False
     assert cohomology_table(cx).degrees == unbounded_table(cx)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_d2_verdict_is_kept_from_the_first_check(kind):
+    """The verdict is that of the blocks when first checked: a block changed
+    afterwards does not reopen it, and the complex built anew and changed
+    the same way before its check is refused."""
+    case = next(c for c in NONTRIVIAL if c not in NOT_CORRUPTIBLE)
+    cx = KINDS[kind](*_split_and_module(*case))
+    assert cx.verify_complex()
+    _corrupt_one_entry(cx)
+    assert cx.verify_complex() is True
+    fresh = KINDS[kind](*_split_and_module(*case))
+    _corrupt_one_entry(fresh)
+    assert fresh.verify_complex() is False
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
