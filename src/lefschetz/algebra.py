@@ -6,8 +6,9 @@ positive constant, and all remaining constants are forced by the Jacobi
 identity.  Highest-weight modules are built from words in the simple lowering
 operators, with linear independence decided exactly through the contravariant
 (Shapovalov) form, after W. A. de Graaf, "Constructing representations of
-split semisimple Lie algebras", J. Pure Appl. Algebra 164 (2001).  The module
-operators are sparse exact columns.
+split semisimple Lie algebras", J. Pure Appl. Algebra 164 (2001).  The form is
+read off the module's own e_i, built level by level with the basis, and the
+Gram rows of the level above.  The module operators are sparse exact columns.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub
 
 from .exact import ExactMatrix, InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import flat, image, pairs, rank_and_kernel
+from .exact import _integral, flat, image, pairs, rank_and_kernel
 from .roots import RootDatum
 
-# Largest module built, in dimension.  Measured with Python 3.11 on one Xeon
-# vCPU: B2 (3,3), dim 256, builds in 0.24-0.30 s (its Casimir check takes
-# 0.01-0.02 s more) and G2 (2,1), dim 286, in 1.95-2.3 s, most of it in the
-# Shapovalov word recursion (`_WordCalculus`).
+# Largest module built, in dimension.  Measured in process with Python 3.11.7
+# on a shared 2-vCPU host, min-max of five builds: G2 (2,1), dim 286, builds
+# in 0.12-0.13 s, B2 (4,4), dim 625, in 0.25-0.68 s and G2 (2,2), dim 729, in
+# 0.61-0.67 s; one build of D4 (1,1,1,1), dim 4096, took 5.3 s.
 DIMENSION_BOUND = 5000
 
 # basis labels: ("h", i), ("e", root), ("f", root) with root a positive weight tuple
@@ -364,65 +365,13 @@ def _operator(dim: int, cols: list[tuple[tuple, int]]) -> SparseMatrix:
     )
 
 
-class _WordCalculus:
-    """Shapovalov pairing of lowering-operator words on a Verma highest weight.
-
-    The word (i, j, ...) stands for f_i f_j ... v.  Pairings are integers:
-    moving e_i through the word only brings in the pairings <wt, alpha_i^vee>.
-    The first word of a pairing is always a basis word, and the tail of a
-    basis word is one too, so basis words are named by their index t in the
-    order they are added: `_head[t]` is (i, u) for f_i times the basis word u,
-    and `_pairs[t]` caches the pairings of word t by the second word."""
-
-    def __init__(self, datum: RootDatum, lam: Weight):
-        self.lam = lam
-        self.simple_roots = datum.simple_roots
-        self._weights: dict[tuple[int, ...], Weight] = {(): lam}
-        self.index: dict[tuple[int, ...], int] = {(): 0}
-        self._head: list[tuple[int, int]] = [(-1, -1)]  # the empty word has no head
-        self._pairs: list[dict[tuple[int, ...], int]] = [{}]
-
-    def add(self, word: tuple[int, ...]) -> int:
-        """Name the basis word f_i w, w a basis word; returns its index."""
-        t = len(self._head)
-        self.index[word] = t
-        self._head.append((word[0], self.index[word[1:]]))
-        self._pairs.append({})
-        return t
-
-    def word_weight(self, word: tuple[int, ...]) -> Weight:
-        wt = self._weights.get(word)
-        if wt is None:
-            wt = _sub(self.word_weight(word[1:]), self.simple_roots[word[0]])
-            self._weights[word] = wt
-        return wt
-
-    def apply_e(self, i: int, word: tuple[int, ...]) -> list[tuple[int, tuple]]:
-        """e_i f_word v as (coefficient, word) terms: e_i commutes past each
-        f_j, and at each f_i leaves h_i, which acts on the rest of the word
-        by the i-th coordinate of its weight."""
-        out = []
-        c = self.lam[i]  # scanned from the right: <wt(word[p + 1:]), alpha_i^vee>
-        for p in range(len(word) - 1, -1, -1):
-            j = word[p]
-            if j == i and c:
-                out.append((c, word[:p] + word[p + 1 :]))
-            c -= self.simple_roots[j][i]
-        return out
-
-    def pair(self, t: int, word: tuple[int, ...]) -> int:
-        """<f_{w} v, f_{word} v> for the basis word w of index t, via
-        contravariance; 0 unless the words are of one weight."""
-        cache = self._pairs[t]
-        val = cache.get(word)
-        if val is None:
-            val = self.pair_head(*self._head[t], word) if t else int(not word)
-            cache[word] = val
-        return val
-
-    def pair_head(self, i: int, u: int, word: tuple[int, ...]) -> int:
-        """<f_i f_{w} v, f_{word} v> for the basis word w of index u."""
-        return sum(c * self.pair(u, w) for c, w in self.apply_e(i, word))
+def _pairing(col: tuple, den: int, gram_row: dict[int, int]) -> int:
+    """<x, f_i w> = <e_i x, w> for e_i x = col / den on the basis words of w's
+    weight and w's Gram row on them: a Shapovalov pairing, so an integer."""
+    q, rem = divmod(sum(v * gram_row[r] for r, v in pairs(col)), den)
+    if rem:
+        raise InvariantError(f"inexact Shapovalov pairing division by {den}")
+    return q
 
 
 def highest_weight_module(
@@ -430,40 +379,62 @@ def highest_weight_module(
 ) -> WeightModule:
     """The irreducible module of highest weight lam on a basis of words.
 
-    The candidates f_i w, w a basis word one level up, join the basis in turn
-    when their Schur complement against the words taken is nonzero; else their
-    coordinates are G^-1 b (b: their pairings with those words), the columns
-    of f_i.  The inverse is bordered fraction-free: det G and adj G = det G *
-    G^-1 stay integers, and the coordinates are (adj G) b / det G.  Then
-    e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w."""
+    The candidates f_i w, named (i, t) for the basis word w of index t one
+    level up, join the basis in turn when their Schur complement against the
+    words taken at their weight is nonzero; else their coordinates (adj G) b /
+    det G on those words, bordered fraction-free with b their pairings, are
+    the columns of f_i.  Level by level, e_k f_i w = f_i e_k w + [k = i]
+    <wt(w), alpha_k^vee> w gives the operators e_k and, with the Gram rows one
+    level up, every pairing: <x, f_i w> = <e_i x, w>, x = f_i w included."""
     datum = alg.datum
-    lam = tuple(int(c) for c in lam)
+    lam = tuple(map(_integral, lam))
     expected_dim = datum.weyl_dimension(lam)  # refuses a non-dominant or wrong-length lam
     if expected_dim > dim_bound:
         raise ValueError(
             f"module dimension {expected_dim} exceeds bound {dim_bound}"
         )
-    calc = _WordCalculus(datum, lam)
-    rank = datum.rank
+    rank, simple = datum.rank, datum.simple_roots
+    # of each basis word, by level then word: its weight, its Gram row on the
+    # basis words of its weight, its e_k columns and, once the next level is
+    # done, its f_i columns, each column integers over a denominator
+    weights, gram = [lam], [{0: 1}]
+    e_cols: list[list[tuple[tuple, int]]] = [[((), 1)] for _ in range(rank)]  # e_k v = 0
+    f_cols: list[list[tuple]] = [[] for _ in range(rank)]
+    f_dens: list[list[int]] = [[] for _ in range(rank)]
 
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    coords: dict[tuple[int, ...], dict] = {}  # candidate -> its basis coordinates
-    while levels[-1]:
-        new_level: list[tuple[int, ...]] = []
-        candidates: dict[Weight, list[tuple[int, ...]]] = {}
-        for w in levels[-1]:
+    def e_of_f(k: int, i: int, t: int) -> tuple[tuple, int]:
+        """e_k f_i w for the basis word w of index t, reduced."""
+        col, den = e_cols[k][t]
+        dens = f_dens[i]
+        scale = lcm(*(dens[z] for z in col[::2]))
+        acc = image(f_cols[i], flat({z: a * (scale // dens[z]) for z, a in pairs(col)}))
+        den *= scale
+        if k == i:
+            acc[t] = acc.get(t, 0) + weights[t][k] * den
+        g = gcd(den, *acc.values())
+        return flat({r: c // g for r, c in acc.items() if c}), den // g
+
+    index: dict[tuple[int, int], int] = {}  # word (i, t) -> its index in the basis
+    level = [0]  # the basis indices of the last level, in the order taken
+    while level:
+        candidates: dict[Weight, list[tuple[int, int]]] = {}
+        for t in level:
             for i in range(rank):
-                cand = (i,) + w
-                candidates.setdefault(calc.word_weight(cand), []).append(cand)
+                candidates.setdefault(_sub(weights[t], simple[i]), []).append((i, t))
+        coords: dict[tuple[int, int], tuple[dict, int]] = {}  # f_i w on the words taken
+        taken: dict[tuple[int, int], tuple] = {}  # word -> weight, words taken, Gram row, e_k
         for wt in sorted(candidates):
-            chosen: list[tuple[int, ...]] = []
-            ids: list[int] = []  # the calculus' indices of chosen
+            chosen: list[tuple[int, int]] = []
+            rows: list[list[int]] = []  # the Gram matrix of chosen
+            ecols: list[list[tuple[tuple, int]]] = []  # the e_k columns of chosen
             det = 1  # Gram determinant of chosen
             adj: list[list[int]] = []  # det times the inverse Gram matrix of chosen
             for cand in candidates[wt]:
-                b = [calc.pair(x, cand) for x in ids]
+                i, t = cand
+                b = [_pairing(*ec[i], gram[t]) for ec in ecols]
                 u = [sum(map(mul, row, b)) for row in adj]
-                own = calc.pair_head(cand[0], calc.index[cand[1:]], cand)
+                e_i = e_of_f(i, i, t)
+                own = _pairing(*e_i, gram[t])
                 new = own * det - sum(map(mul, b, u))  # det * Schur complement
                 if new:
                     # border adj by the new row b; the new determinant is `new`
@@ -473,47 +444,44 @@ def highest_weight_module(
                     ]
                     adj.append([-uj for uj in u] + [det])
                     det = new
+                    for row, bx in zip(rows, b):
+                        row.append(bx)
+                    rows.append(b + [own])
+                    ecols.append([e_i if k == i else e_of_f(k, i, t) for k in range(rank)])
                     chosen.append(cand)
-                    ids.append(calc.add(cand))
+                    taken[cand] = (wt, chosen, rows[-1], ecols[-1])
                     coords[cand] = ({cand: 1}, 1)
                 else:
                     coords[cand] = ({x: c for x, c in zip(chosen, u) if c}, det)
-            new_level.extend(chosen)
-        levels.append(new_level)
+        # by word: f_i w_t is before f_j w_s just when (i, t) < (j, s)
+        start, ordered = len(weights), sorted(taken)
+        index.update((w, n) for n, w in enumerate(ordered, start))
+        for w in ordered:
+            wt, chosen, row, ecol = taken[w]
+            weights.append(wt)
+            gram.append(dict(zip(map(index.get, chosen), row)))
+            for k in range(rank):
+                e_cols[k].append(ecol[k])
+        for t in range(len(f_dens[0]), start):  # the words one level up
+            for i in range(rank):
+                col, den = coords[i, t]
+                f_cols[i].append(flat({index[x]: c for x, c in col.items()}))
+                f_dens[i].append(den)
+        level = [index[w] for w in taken]
+        if len(weights) > expected_dim:  # wrong pairings need not end the loop
+            break
 
-    # flat basis ordered by level then word
-    flat_basis = [w for level in levels for w in sorted(level)]
-    index = {w: i for i, w in enumerate(flat_basis)}
-    dim = len(flat_basis)
+    dim = len(weights)
     if dim != expected_dim:
         raise InvariantError(
             f"constructed dimension {dim} != Weyl dimension {expected_dim}"
         )
-    weights = [calc.word_weight(w) for w in flat_basis]
-
-    def column(word):
-        col, den = coords[word]
-        return flat({index[x]: c for x, c in col.items()}), den
-
-    f_ops = [_operator(dim, [column((i,) + w) for w in flat_basis]) for i in range(rank)]
-    # e_i f_k w = f_k e_i w + [i = k] <wt(w), alpha_i^vee> w, each column as
-    # integers over its own denominator, reduced as it is made
-    e_cols: list[list[tuple[tuple, int]]] = [[((), 1)] for _ in range(rank)]  # e_i v = 0
-    for w in flat_basis[1:]:  # by level, so e_i of the tail w[1:] is known
-        fk, t = f_ops[w[0]], index[w[1:]]
-        for i in range(rank):
-            col, den = e_cols[i][t]
-            col, den = image(fk.columns, col), den * fk.den
-            if w[0] == i:
-                col[t] = col.get(t, 0) + weights[t][i] * den
-            g = gcd(den, *col.values())
-            e_cols[i].append((flat({r: c // g for r, c in col.items() if c}), den // g))
     action: dict[Label, SparseMatrix] = {}
     for i in range(rank):
         h = [(j, wt[i]) if wt[i] else () for j, wt in enumerate(weights)]
         action[("h", i)] = SparseMatrix(dim, h)
         action[("e", datum.simple_roots[i])] = _operator(dim, e_cols[i])
-        action[("f", datum.simple_roots[i])] = f_ops[i]
+        action[("f", datum.simple_roots[i])] = _operator(dim, list(zip(f_cols[i], f_dens[i])))
 
     # non-simple root vectors via commutators, by height
     simple_set = set(datum.simple_roots)

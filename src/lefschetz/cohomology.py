@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import alternating_exterior_sum, image, pairs
+from .exact import _integral, alternating_exterior_sum, image, pairs
 from .roots import RootDatum
 
 
@@ -37,7 +37,7 @@ def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[W
     computed by Freudenthal's recursion in integers.  `form` is
     `datum.levi_form(levi)`, computed here if not given."""
     levi = sorted(set(range(datum.rank) if levi is None else levi))
-    lam = tuple(int(c) for c in lam)
+    lam = tuple(map(_integral, lam))
     if len(lam) != datum.rank or any(lam[i] < 0 for i in levi):
         raise ValueError(f"{lam} is not a dominant rank-{datum.rank} weight of the subsystem")
     if not levi:
@@ -352,7 +352,7 @@ def kostant_weights(datum: RootDatum, split: ParabolicSplit, lam) -> Iterator[li
     """Kostant's highest weights, one list per degree q: w(lam+rho)-rho for
     each minimal coset representative w of length q, read off the integer
     columns of `RootDatum.coset_walk` one level at a time."""
-    lam = tuple(int(c) for c in lam)
+    lam = tuple(map(_integral, lam))
     if len(lam) != datum.rank or not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not a dominant weight of {datum.label}")
     shifted = _add(lam, datum.rho)

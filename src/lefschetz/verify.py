@@ -22,6 +22,12 @@ from . import algebra, cohomology, euler, formula, roots, spin
 # 0.26 s; at m = 10 they take 1.1 s and 3.5 s.
 MAX_SPIN_M = 8
 
+# Largest `max` of the comb check, whose (max + 1)^2 identities sum O(max)
+# big binomial products each.  Measured in process with Python 3.11 on a
+# shared 2-vCPU host: the whole check takes 0.001 s at the default 12, 0.48 s
+# at 100, 1.5 s at 128 and 3.9 s at 160, about 20 times more per doubling.
+MAX_COMB = 100
+
 
 class Sweep:
     """Root data with their algebras, highest-weight modules, Levi splits and
@@ -206,6 +212,8 @@ def _epsilon(cfg, sweep):
 
 def _comb(cfg, sweep):
     top = _at_least("max", cfg["max"], 0)
+    if top > MAX_COMB:
+        raise ValueError(f"max = {top} exceeds the limit MAX_COMB = {MAX_COMB}")
     for r, p in itertools.product(range(top + 1), repeat=2):
         if not euler.comb_identity_check(r, p):
             return {"r": r, "p": p}

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from lefschetz.algebra import (
+    _pairing,
     _sylvester,
     build_chevalley_algebra,
     casimir_eigenvalue,
@@ -249,6 +250,17 @@ class TestModules:
         with pytest.raises(ValueError):
             highest_weight_module(algebra("A2"), (9, 9), dim_bound=100)
 
+    @pytest.mark.parametrize("lam", [(1.5,), (Fraction(5, 2),), (2.7,)])
+    def test_rejects_non_integral_weight(self, lam):
+        with pytest.raises(ValueError, match="is not integral"):
+            highest_weight_module(algebra("A1"), lam)
+
+    @pytest.mark.parametrize("lam", [(3.0,), (Fraction(6, 2),)])
+    def test_accepts_integral_float_and_fraction(self, lam):
+        mod = highest_weight_module(algebra("A1"), lam)
+        assert mod.highest_weight == (3,) and type(mod.highest_weight[0]) is int
+        assert mod.basis_weights == highest_weight_module(algebra("A1"), (3,)).basis_weights
+
     def test_bracket_relations(self):
         for label, lam in (("A1", (2,)), ("A2", (1, 1)), ("B2", (1, 1))):
             alg = algebra(label)
@@ -273,9 +285,9 @@ class TestModules:
 
 def fraction_bordering_reference(datum, lam):
     """The word basis (by level, then word) and the coordinates of every
-    candidate word, found as the module builder found them before it went
-    fraction-free: by bordering the inverse Gram matrix in Fractions.  The
-    Shapovalov pairing is the plain word recursion, memoized on word pairs."""
+    candidate word, found by bordering the inverse Gram matrix in Fractions.
+    The Shapovalov pairing is the plain recursion of e_i through Verma words,
+    memoized on word pairs, independent of the builder's e-columns."""
     simple, rank = datum.simple_roots, datum.rank
 
     @functools.lru_cache(maxsize=None)
@@ -320,7 +332,59 @@ def fraction_bordering_reference(datum, lam):
     return [w for level in levels for w in sorted(level)], coords
 
 
+MODULE_DIGESTS = {
+    ("B2", (2, 3)): "608b101afe67d17e1dc68aeba11431e5c5595981333ed64d869043c771cd08a4",
+    ("G2", (1, 1)): "22bad18b697101f160d09a801f4ab903a43aa156960ee5e38bc3cc89eead007a",
+    ("C3", (1, 1, 0)): "c0d820416f96fd04ac8ad94f6748c8203c072800aeecdaf819a630ad0fd07b1f",
+    ("A3", (1, 1, 1)): "f61297b31492462ecef8e37ef6ce651cd7fbf708d7a0706d1778978720afc719",
+    ("A2", (2, 4)): "016d408d6390d1e4db7feb731d1dd644a88b2a5c5601ce888d357c446adcb3d5",
+    ("G2", (2, 1)): "5067759a5c487695b7223220efca4808ddda4c9f857fa913579c27dc950bc4e4",
+    ("B3", (1, 1, 1)): "4153fdfce2736280e38ea30b832d55a784f5eded991e574a2a79ce5aa2851590",
+}
+
+
 class TestIntegerModules:
+    @pytest.mark.parametrize("label, lam", list(MODULE_DIGESTS))
+    def test_operators_are_pinned(self, label, lam):
+        """Every operator (label, den, columns) and the basis weights, as the
+        builder gave them when it paired Verma words: the benchmark's module
+        pool, G2 (2,1) and B3 (1,1,1)."""
+        mod = highest_weight_module(algebra(label), lam)
+        digest = hashlib.sha256(repr(mod.basis_weights).encode())
+        for lab in sorted(mod.action):
+            op = mod.action[lab]
+            digest.update(repr((lab, op.den, op.columns)).encode())
+        assert digest.hexdigest() == MODULE_DIGESTS[label, lam]
+
+    def test_inexact_pairing_division_raises(self):
+        """<x, f_i w> = (e_i x) . (Gram row of w) / den is an integer; a
+        remainder raises, under python -O too."""
+        assert _pairing((0, 3, 2, -1), 2, {0: 2, 2: 4}) == 1
+        with pytest.raises(InvariantError, match="inexact Shapovalov pairing"):
+            _pairing((0, 3, 2, -1), 2, {0: 1, 2: 4})
+        script = textwrap.dedent(
+            """
+            import sys
+            from lefschetz.algebra import _pairing
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            try:
+                _pairing((0, 3), 2, {0: 1})
+            except AssertionError as e:
+                print("raised:", e)
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: inexact Shapovalov pairing division by 2" in proc.stdout
+
     def test_inexact_sylvester_division_raises(self):
         """The bordering's divisions are exact by Sylvester's identity; one
         that is not raises, under python -O too."""
@@ -347,16 +411,17 @@ class TestIntegerModules:
         "label, lam",
         [
             (label, lam)
-            for label in ("A2", "B2", "G2")
-            for lam in itertools.product(range(3), repeat=2)
+            for label, top in (("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1), ("C3", 1))
+            for lam in itertools.product(range(top + 1), repeat=build_root_system(label).rank)
             if build_root_system(label).weyl_dimension(lam) <= 200
         ],
     )
     def test_bordering_matches_the_fraction_reference(self, label, lam):
-        """The fraction-free bordering takes the same words as the Fraction
-        bordering, and gives every f_i w the same coordinates; a taken word
-        f_i w has the unit coordinate at its own place in the basis.  (G2 at
-        (2,1) and (2,2), dimensions 286 and 729, is left out for time.)"""
+        """The builder takes the same words as the Fraction bordering on the
+        Verma word pairing, and gives every f_i w the same coordinates; a
+        taken word f_i w has the unit coordinate at its own place in the
+        basis.  (G2 at (2,1) and (2,2), dimensions 286 and 729, and B3 and C3
+        at (1,1,1), dimension 512, are left out for time.)"""
         alg = algebra(label)
         mod = highest_weight_module(alg, lam)
         basis, coords = fraction_bordering_reference(alg.datum, lam)

@@ -9,9 +9,9 @@ from collections import Counter
 
 import pytest
 
-from lefschetz import algebra, cohomology, formula, spin
+from lefschetz import algebra, cohomology, euler, formula, spin
 from lefschetz.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAIL, main
-from lefschetz.verify import MAX_SPIN_M
+from lefschetz.verify import MAX_COMB, MAX_SPIN_M
 
 
 def run(capsys, *argv):
@@ -431,6 +431,15 @@ class TestErrorPaths:
         for check in ("spin", "epsilon"):
             code, _ = run(capsys, "verify", check, "--max-m", str(MAX_SPIN_M + 1))
             assert code == EXIT_BAD_INPUT
+
+    def test_comb_limit_refused_before_summing(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a comb identity was summed")
+
+        monkeypatch.setattr(euler, "comb_identity_check", refuse)
+        code = main(["verify", "comb", "--max", str(MAX_COMB + 1)])
+        assert code == EXIT_BAD_INPUT
+        assert f"MAX_COMB = {MAX_COMB}" in capsys.readouterr().err
 
     def test_cochain_limit_refused_before_building(self, capsys, monkeypatch):
         def refuse(*args):

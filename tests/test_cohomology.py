@@ -68,6 +68,16 @@ class TestWeightMultiplicities:
         with pytest.raises(ValueError, match="rank-2"):
             weight_multiplicities(build_root_system("A2"), lam, levi)
 
+    @pytest.mark.parametrize("lam", [(1.5,), (Fraction(5, 2),), (2.7,)])
+    def test_rejects_non_integral_weight(self, lam):
+        with pytest.raises(ValueError, match="is not integral"):
+            weight_multiplicities(build_root_system("A1"), lam)
+
+    @pytest.mark.parametrize("lam", [(3.0,), (Fraction(6, 2),)])
+    def test_accepts_integral_float_and_fraction(self, lam):
+        d = build_root_system("A1")
+        assert weight_multiplicities(d, lam) == weight_multiplicities(d, (3,))
+
     def test_agrees_with_constructed_module(self):
         for label in ("A2", "B2"):
             datum = build_root_system(label)
@@ -278,6 +288,19 @@ class TestPredictionOracle:
             kostant_prediction(datum, split, lam)
         with pytest.raises(ValueError, match="not a dominant weight of A2"):
             next(kostant_weights(datum, split, lam))
+
+    @pytest.mark.parametrize("lam", [(2.7,), (Fraction(5, 2),), (1.5,)])
+    def test_rejects_non_integral_weight(self, lam):
+        datum, split, _ = setup("A1", set(), (0,))
+        with pytest.raises(ValueError, match="is not integral"):
+            next(kostant_weights(datum, split, lam))
+        with pytest.raises(ValueError, match="is not integral"):
+            kostant_prediction(datum, split, lam)
+
+    @pytest.mark.parametrize("lam", [(2.0,), (Fraction(4, 2),)])
+    def test_accepts_integral_float_and_fraction(self, lam):
+        datum, split, _ = setup("A1", set(), (0,))
+        assert list(kostant_weights(datum, split, lam)) == [[(2,)], [(-4,)]]
 
     def test_a2_levi_0_trivial(self):
         """w = e, s_1, s_1 s_0 give the Levi modules of highest weight (0, 0),
