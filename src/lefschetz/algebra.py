@@ -8,7 +8,10 @@ operators, with linear independence decided exactly through the contravariant
 (Shapovalov) form, after W. A. de Graaf, "Constructing representations of
 split semisimple Lie algebras", J. Pure Appl. Algebra 164 (2001).  The form is
 read off the module's own e_i, built level by level with the basis, and the
-Gram rows of the level above.  The module operators are sparse exact columns.
+Gram rows of the level above.  The module operators are sparse exact columns;
+the non-simple root vectors are commutators of earlier ones, each built column
+by column in integers.  The Casimir inverts the invariant form by its blocks
+(h with h, e_alpha with f_alpha), never as a whole.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .roots import RootDatum
 
 # Largest module built, in dimension.  Measured in process with Python 3.11.7
 # on a shared 2-vCPU host, min-max of five builds: G2 (2,1), dim 286, builds
-# in 0.12-0.13 s, B2 (4,4), dim 625, in 0.25-0.68 s and G2 (2,2), dim 729, in
-# 0.61-0.67 s; one build of D4 (1,1,1,1), dim 4096, took 5.3 s.
+# in 0.043-0.049 s, B2 (4,4), dim 625, in 0.10-0.11 s and G2 (2,2), dim 729,
+# in 0.26-0.27 s; one build of D4 (1,1,1,1), dim 4096, took 3.1 s.
 DIMENSION_BOUND = 5000
 
 # basis labels: ("h", i), ("e", root), ("f", root) with root a positive weight tuple
@@ -485,11 +488,11 @@ def highest_weight_module(
 
     # non-simple root vectors via commutators, by height
     simple_set = set(datum.simple_roots)
+    sc = alg.constants
     for gamma in datum.positive_roots:
         if gamma in simple_set:
             continue
         # decompose via the minimal special pair
-        sc = alg.constants
         for a in datum.positive_roots:
             b = _sub(gamma, a)
             if b in sc.index and sc.index[a] < sc.index[b]:
@@ -497,27 +500,66 @@ def highest_weight_module(
         else:
             raise InvariantError(f"no special pair for the root {gamma}")
         n = sc.n(a, b)
-        ea, eb = action[("e", a)], action[("e", b)]
-        fa, fb = action[("f", a)], action[("f", b)]
-        action[("e", gamma)] = (ea @ eb - eb @ ea).scale_by(Fraction(1, n))
-        action[("f", gamma)] = (fa @ fb - fb @ fa).scale_by(Fraction(-1, n))
+        action[("e", gamma)] = _commutator(action[("e", a)], action[("e", b)], n)
+        action[("f", gamma)] = _commutator(action[("f", a)], action[("f", b)], -n)
 
     return WeightModule(lam, dim, weights, action, datum)
+
+
+def _commutator(x: SparseMatrix, y: SparseMatrix, n: int) -> SparseMatrix:
+    """(x y - y x) / n, built column by column in integers and reduced once.
+    Column j holds the rows of (x y)_j that do not cancel, in the order the
+    product reaches them, then the further rows of (y x)_j."""
+    xc, yc = x.columns, y.columns
+    den, sign = x.den * y.den * abs(n), 1 if n > 0 else -1
+    g, cols = den, []
+    for xj, yj in zip(xc, yc):
+        acc: dict[int, int] = {}
+        for k, a in pairs(yj):
+            for i, v in pairs(xc[k]):
+                acc[i] = acc.get(i, 0) + a * v
+        acc = {i: v for i, v in acc.items() if v}
+        for k, a in pairs(xj):
+            for i, v in pairs(yc[k]):
+                acc[i] = acc.get(i, 0) - a * v
+        col = {i: v for i, v in acc.items() if v}
+        if g != 1:
+            g = gcd(g, *col.values())
+        cols.append(col)
+    if g != 1 or sign != 1:
+        cols = [{i: v * sign // g for i, v in col.items()} for col in cols]
+    return SparseMatrix._of(x.rows, list(map(flat, cols)), den // g)
 
 
 def casimir_matrix(
     alg: ChevalleyAlgebra, mod: WeightModule, form_choice: str = "killing"
 ) -> SparseMatrix:
     """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form, summed
-    in integers over the lcm of the terms' denominators."""
-    Finv = alg.invariant_form(form_choice).inverse()  # raises if the form is degenerate
+    in integers over the lcm of the terms' denominators.  In a Chevalley
+    basis the form pairs h only with h and e_alpha only with f_alpha, so its
+    inverse is one r x r inverse on h and 1 / B(e_alpha, f_alpha) per positive
+    root; a nonzero entry outside those blocks raises InvariantError."""
+    F = alg.invariant_form(form_choice)
+    basis, size, r = alg.basis, alg.dimension, alg.datum.rank
+    npos = (size - r) // 2  # e_alpha is basis[r + m], f_alpha basis[r + npos + m]
+    for ij, v in enumerate(F.entries):
+        if v:
+            i, j = divmod(ij, size)
+            if not (i < r and j < r or i >= r and j >= r and abs(i - j) == npos):
+                raise InvariantError(
+                    f"the invariant form pairs {basis[i]} with {basis[j]} outside its blocks"
+                )
+    Hinv = ExactMatrix.from_rows([F.row(i)[:r] for i in range(r)]).inverse()  # raises if singular
     act = mod.action
-    terms = [
-        (Finv[k, i], act[x], act[y])
-        for i, x in enumerate(alg.basis)
-        for k, y in enumerate(alg.basis)
-        if Finv[k, i]
-    ]
+    terms = []  # (F^-1[k, i], rho(basis[i]), rho(basis[k])) by i, then k
+    for i, x in enumerate(basis):
+        if i < r:
+            terms += [(Hinv[k, i], act[x], act[basis[k]]) for k in range(r) if Hinv[k, i]]
+            continue
+        k = i + npos if i < r + npos else i - npos
+        if not F[i, k]:
+            raise ValueError(f"the invariant form is degenerate at {x}")
+        terms.append((1 / F[i, k], act[x], act[basis[k]]))
     den = lcm(*(c.denominator * a.den * b.den for c, a, b in terms))
     acc: list[dict[int, int]] = [{} for _ in range(mod.dimension)]
     for c, a, b in terms:

@@ -218,6 +218,7 @@ def cmd_verify(args) -> int:
         "points": args.points,
     }
     sweep = verify.Sweep(dim_bound=_dim_bound())
+    verify.check_parameters(names, cfg, sweep)
     entries = []
     failed = 0
     for name in names:

@@ -7,7 +7,7 @@ The `LaurentCharacter` constructor is the one validating boundary (integral
 points of length `rank`, integral multiplicities); ring operations on valid
 characters build their results directly.  Dense matrices (`ExactMatrix`) hold
 Fractions; sparse ones (`SparseMatrix`) hold integer columns over one positive
-denominator, so their products, sums and ranks run in integers.  Both are
+denominator, so their images (`image`) and ranks run in integers.  Both are
 ranked by one fraction-free elimination, `echelon`, on sparse rows cleared of
 denominators; no tolerance, modulus or random choice enters.
 """
@@ -348,40 +348,13 @@ class SparseMatrix:
         self.den = den
 
     @classmethod
-    def _of(cls, rows: int, columns: list[tuple]) -> "SparseMatrix":
-        """The matrix of integer flat `columns` over `den` 1, each with
-        distinct rows and nonzero int entries: no scan, no checks."""
+    def _of(cls, rows: int, columns: list[tuple], den: int = 1) -> "SparseMatrix":
+        """The matrix of integer flat `columns` over `den`, each column with
+        distinct rows and nonzero int entries, `den` positive and prime to
+        them all: no scan, no checks."""
         m = object.__new__(cls)
-        m.rows, m.cols, m.columns, m.den = rows, len(columns), columns, 1
+        m.rows, m.cols, m.columns, m.den = rows, len(columns), columns, den
         return m
-
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        return SparseMatrix(
-            self.rows,
-            [flat(image(self.columns, b)) for b in other.columns],
-            self.den * other.den,
-        )
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        # column j: the two columns a_j, b_j applied to the vector
-        # (den / a.den, -den / b.den), over the common denominator den
-        den = lcm(self.den, other.den)
-        diff = (0, den // self.den, 1, -den // other.den)
-        return SparseMatrix(
-            self.rows, [flat(image(ab, diff)) for ab in zip(self.columns, other.columns)], den
-        )
-
-    def scale_by(self, c) -> "SparseMatrix":
-        c = _as_fraction(c)
-        if not c:
-            return SparseMatrix(self.rows, [()] * self.cols)
-        p = c.numerator
-        cols = [flat({i: v * p for i, v in pairs(col)}) if p != 1 else col for col in self.columns]
-        return SparseMatrix(self.rows, cols, self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

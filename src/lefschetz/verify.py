@@ -4,9 +4,11 @@
 the property holds on its whole sweep and otherwise a JSON-ready payload that
 reproduces the first counterexample.  `cfg` holds the sweep parameters
 (`types`, `max_coord`, `seed`, `max_m`, `max`, `points`); a check reads only
-its own.  A parameter that would leave nothing to check is malformed input and
-raises ValueError.  Verdicts are explicit comparisons, never `assert`, so they
-hold under `python -O`.
+its own, and `READS` names the readers that validate them.  A parameter that
+names no root system, would leave nothing to check or exceeds its limit is
+malformed input and raises ValueError, from the check that reads it or, for a
+whole run, from `check_parameters` before the first check.  Verdicts are
+explicit comparisons, never `assert`, so they hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ class Sweep:
             self._built[key] = build()
         return self._built[key]
 
+    def datum(self, label):
+        return self._once(("datum", label), lambda: roots.build_root_system(label))
+
     def chevalley(self, label):
         """(datum, algebra)"""
-        datum = self._once(("datum", label), lambda: roots.build_root_system(label))
+        datum = self.datum(label)
         return datum, self._once(
             ("algebra", label), lambda: algebra.build_chevalley_algebra(datum)
         )
@@ -89,7 +94,7 @@ class Sweep:
         dominant lambda with coordinates <= max_coord) at which
         holds(sweep, datum, split, lambda, module) is false, as {type, levi,
         weight}; None if there is none."""
-        max_coord = _at_least("max_coord", cfg["max_coord"], 0)
+        max_coord = _max_coord(cfg, self)
         for label in cfg["types"]:
             for datum, split in self.splits(label):
                 for lam in itertools.product(range(max_coord + 1), repeat=datum.rank):
@@ -108,12 +113,42 @@ def _at_least(name, value, low):
     return value
 
 
-def _spaces(cfg):
-    """Polarized spaces of half-dimension 1..max_m."""
+# ---------------------------------------------------------------------------
+# The parameters: each reader returns the parameter's value or raises
+# ValueError.  The checks read max_coord, max_m, max and points through them;
+# `_types` builds each root datum, as the checks that read `types` do first.
+
+
+def _types(cfg, sweep):
+    """The root data of `types`; an unknown label raises."""
+    return [sweep.datum(label) for label in cfg["types"]]
+
+
+def _max_coord(cfg, sweep):
+    return _at_least("max_coord", cfg["max_coord"], 0)
+
+
+def _max_m(cfg, sweep):
     top = _at_least("max_m", cfg["max_m"], 1)
     if top > MAX_SPIN_M:
         raise ValueError(f"max_m = {top} exceeds the limit MAX_SPIN_M = {MAX_SPIN_M}")
-    return [spin.PolarizedSpace(m) for m in range(1, top + 1)]
+    return top
+
+
+def _max(cfg, sweep):
+    top = _at_least("max", cfg["max"], 0)
+    if top > MAX_COMB:
+        raise ValueError(f"max = {top} exceeds the limit MAX_COMB = {MAX_COMB}")
+    return top
+
+
+def _points(cfg, sweep):
+    return _at_least("points", cfg["points"], 1)
+
+
+def _spaces(cfg, sweep):
+    """Polarized spaces of half-dimension 1..max_m."""
+    return [spin.PolarizedSpace(m) for m in range(1, _max_m(cfg, sweep) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +204,7 @@ def _hechtschmid(sweep, datum, split, lam, mod):
 
 def _det(cfg, sweep):
     """The determinant identity at `points` seeded rational points per split."""
-    points = _at_least("points", cfg["points"], 1)
+    points = _points(cfg, sweep)
     rng = random.Random(cfg["seed"])
     for label in cfg["types"]:
         for datum, split in sweep.splits(label):
@@ -190,7 +225,7 @@ def _det(cfg, sweep):
 
 def _spin(cfg, sweep):
     """The Clifford relation, and the spin square with global sign (-1)^m."""
-    for space in _spaces(cfg):
+    for space in _spaces(cfg, sweep):
         m = space.m
         if not spin.clifford_relation_check(space):
             return {"m": m, "failure": "clifford relation"}
@@ -202,7 +237,7 @@ def _spin(cfg, sweep):
 
 def _epsilon(cfg, sweep):
     """The epsilon twist, matching S+ with the exterior parity of m."""
-    for space in _spaces(cfg):
+    for space in _spaces(cfg, sweep):
         m = space.m
         holds, parity = spin.epsilon_twist_check(space)
         if not holds or parity != ("even" if m % 2 == 0 else "odd"):
@@ -211,9 +246,7 @@ def _epsilon(cfg, sweep):
 
 
 def _comb(cfg, sweep):
-    top = _at_least("max", cfg["max"], 0)
-    if top > MAX_COMB:
-        raise ValueError(f"max = {top} exceeds the limit MAX_COMB = {MAX_COMB}")
+    top = _max(cfg, sweep)
     for r, p in itertools.product(range(top + 1), repeat=2):
         if not euler.comb_identity_check(r, p):
             return {"r": r, "p": p}
@@ -239,6 +272,30 @@ def _chitransfer(cfg, sweep):
         if euler.chi_r(euler.bundle_betti_transfer(base, r), r) != euler.chi_r(base, 0):
             return {"base": list(base.b), "r": r}
     return None
+
+
+# the parameter readers of each check (`seed` needs no check)
+_SWEEP = (_types, _max_coord)
+READS = {
+    "jacobi": (_types,),
+    "d2": _SWEEP,
+    "kostant": _SWEEP,
+    "euler": _SWEEP,
+    "duality": _SWEEP,
+    "spin": (_max_m,),
+    "epsilon": (_max_m,),
+    "det": (_types, _points),
+    "hechtschmid": _SWEEP,
+    "comb": (_max,),
+    "chitransfer": (),
+}
+
+
+def check_parameters(names, cfg, sweep):
+    """Raise ValueError on the first malformed parameter that one of the
+    named checks reads, before any of them runs; the others are ignored."""
+    for read in dict.fromkeys(read for name in names for read in READS[name]):
+        read(cfg, sweep)
 
 
 CHECKS = {

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from lefschetz.algebra import (
+    ChevalleyAlgebra,
     _pairing,
     _sylvester,
     build_chevalley_algebra,
@@ -23,7 +24,7 @@ from lefschetz.algebra import (
     highest_weight_module,
     parabolic_split,
 )
-from lefschetz.exact import InvariantError, SparseMatrix, pairs
+from lefschetz.exact import ExactMatrix, InvariantError, SparseMatrix, flat, image, pairs
 from lefschetz.roots import build_root_system
 from lefschetz.verify import CHECKS, Sweep
 
@@ -45,6 +46,23 @@ ALL_TYPES = (
 
 def algebra(label):
     return build_chevalley_algebra(build_root_system(label))
+
+
+def sparse_product(a, b):
+    """a @ b: the columns of b applied to a, over a.den * b.den, normalised
+    by the SparseMatrix constructor."""
+    return SparseMatrix(a.rows, [flat(image(a.columns, col)) for col in b.columns], a.den * b.den)
+
+
+def sparse_combination(dim, terms):
+    """The sum of c * m over (c, m) in terms, square matrices of size dim,
+    summed in Fractions and normalised by the SparseMatrix constructor."""
+    acc = [{} for _ in range(dim)]
+    for c, m in terms:
+        for col, mcol in zip(acc, m.columns):
+            for i, v in pairs(mcol):
+                col[i] = col.get(i, 0) + Fraction(c * v, m.den)
+    return SparseMatrix(dim, [flat({i: v for i, v in col.items() if v}) for col in acc])
 
 
 class TestBrackets:
@@ -267,10 +285,11 @@ class TestModules:
             mod = highest_weight_module(alg, lam)
             for x in alg.basis:
                 for y in alg.basis:
-                    commutator = mod.action[x] @ mod.action[y] - mod.action[y] @ mod.action[x]
-                    expected = SparseMatrix(mod.dimension, [()] * mod.dimension)
-                    for z, c in alg.bracket(x, y).items():
-                        expected = expected - mod.action[z].scale_by(-c)
+                    xy = sparse_product(mod.action[x], mod.action[y])
+                    yx = sparse_product(mod.action[y], mod.action[x])
+                    commutator = sparse_combination(mod.dimension, [(1, xy), (-1, yx)])
+                    terms = [(c, mod.action[z]) for z, c in alg.bracket(x, y).items()]
+                    expected = sparse_combination(mod.dimension, terms)
                     assert commutator == expected, (label, lam, x, y)
 
     def test_character_weyl_invariant(self):
@@ -506,3 +525,130 @@ class TestCasimir:
         )
         assert proc.returncode == 0, proc.stderr
         assert "raised: Casimir scalar" in proc.stdout
+
+
+SMALL_MODULES = [
+    (label, lam)
+    for label in ("A1", "A2", "B2")
+    for lam in itertools.product(range(3), repeat=build_root_system(label).rank)
+] + [("G2", (1, 0)), ("G2", (0, 1)), ("G2", (1, 1))]
+
+
+def outside_blocks(alg):
+    """The (i, j) positions of the invariant form off its blocks: h with h,
+    and e_alpha with f_alpha."""
+    index, r = alg._index, alg.datum.rank
+    partner = {("e", a): index["f", a] for a in alg.datum.positive_roots}
+    partner.update({("f", a): index["e", a] for a in alg.datum.positive_roots})
+    return [
+        (i, j)
+        for i, x in enumerate(alg.basis)
+        for j in range(alg.dimension)
+        if not (i < r and j < r or partner.get(x) == j)
+    ]
+
+
+class TestRootVectorsAndCasimirBlocks:
+    """The commutator root vectors and the block-inverted Casimir against
+    test-local references built from sparse products and the full inverse of
+    the invariant form."""
+
+    @pytest.mark.parametrize("label, lam", SMALL_MODULES)
+    def test_root_vectors_are_commutators(self, label, lam):
+        """Every non-simple e_gamma and f_gamma is (x y - y x) / N for every
+        split gamma = a + b into positive roots, with [x, y] = N z read off
+        the algebra's bracket."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        act, roots = mod.action, alg.datum.positive_roots
+        for gamma, a, b in itertools.product(roots, repeat=3):
+            if tuple(x + y for x, y in zip(a, b)) != gamma:
+                continue
+            for kind in ("e", "f"):
+                x, y = act[kind, a], act[kind, b]
+                [(z, n)] = alg.bracket((kind, a), (kind, b)).items()
+                assert z == (kind, gamma)
+                xy, yx = sparse_product(x, y), sparse_product(y, x)
+                expected = sparse_combination(
+                    mod.dimension, [(Fraction(1, n), xy), (Fraction(-1, n), yx)]
+                )
+                assert act[z] == expected, (label, lam, z, a, b)
+
+    @pytest.mark.parametrize("label, lam", SMALL_MODULES)
+    def test_casimir_matches_the_full_inverse(self, label, lam):
+        """casimir_matrix equals sum_{i,k} F^-1[k, i] rho(x_i) rho(x_k) with
+        F^-1 the g x g inverse of the chosen invariant form."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        act, basis = mod.action, alg.basis
+        for form in ("killing", "short-root-2"):
+            Finv = alg.invariant_form(form).inverse()
+            terms = [
+                (Finv[k, i], sparse_product(act[x], act[y]))
+                for i, x in enumerate(basis)
+                for k, y in enumerate(basis)
+                if Finv[k, i]
+            ]
+            assert casimir_matrix(alg, mod, form) == sparse_combination(mod.dimension, terms)
+
+    @pytest.mark.parametrize("label, lam", SMALL_MODULES)
+    def test_form_entry_outside_the_blocks_raises(self, label, lam, monkeypatch):
+        """One nonzero entry of the invariant form off its blocks, at any
+        position, raises InvariantError before the Casimir is summed."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        form = alg.invariant_form("killing")
+        for i, j in outside_blocks(alg):
+            corrupt = ExactMatrix(form.rows, form.cols, form.entries)
+            corrupt[i, j] = 1
+            monkeypatch.setattr(ChevalleyAlgebra, "invariant_form", lambda self, choice: corrupt)
+            with pytest.raises(InvariantError, match="outside its blocks"):
+                casimir_matrix(alg, mod)
+
+    def test_form_entry_outside_the_blocks_raises_under_optimize_flag(self):
+        """The same refusal under python -O, on the first and the last
+        position off the blocks of every module above."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from lefschetz import algebra
+            from lefschetz.exact import ExactMatrix
+            from lefschetz.roots import build_root_system
+            from test_algebra import SMALL_MODULES, outside_blocks
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            refused = 0
+            for label, lam in SMALL_MODULES:
+                alg = algebra.build_chevalley_algebra(build_root_system(label))
+                mod = algebra.highest_weight_module(alg, lam)
+                form = alg.killing_form()
+                for i, j in [outside_blocks(alg)[0], outside_blocks(alg)[-1]]:
+                    corrupt = ExactMatrix(form.rows, form.cols, form.entries)
+                    corrupt[i, j] = 1
+                    algebra.ChevalleyAlgebra.invariant_form = lambda self, choice: corrupt
+                    try:
+                        algebra.casimir_matrix(alg, mod)
+                    except AssertionError as e:
+                        refused += "outside its blocks" in str(e)
+            print("refused:", refused)
+            """
+        )
+        path = [str(SRC), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"refused: {2 * len(SMALL_MODULES)}" in proc.stdout
+
+    def test_degenerate_root_block_is_refused(self, monkeypatch):
+        """B(e_alpha, f_alpha) = 0 leaves the form degenerate."""
+        alg = algebra("A2")
+        mod = highest_weight_module(alg, (1, 0))
+        form, top = alg.killing_form(), alg.datum.positive_roots[-1]
+        corrupt = ExactMatrix(form.rows, form.cols, form.entries)
+        corrupt[alg._index["e", top], alg._index["f", top]] = 0
+        monkeypatch.setattr(ChevalleyAlgebra, "invariant_form", lambda self, choice: corrupt)
+        with pytest.raises(ValueError, match="degenerate"):
+            casimir_matrix(alg, mod)

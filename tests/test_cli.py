@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from lefschetz import algebra, cohomology, euler, formula, spin
+from lefschetz import algebra, cohomology, euler, formula, spin, verify
 from lefschetz.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAIL, main
 from lefschetz.verify import MAX_COMB, MAX_SPIN_M
 
@@ -450,6 +450,43 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == EXIT_BAD_INPUT and captured.out == ""
         assert f"MAX_COCHAINS = {cohomology.MAX_COCHAINS}" in captured.err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--types", "A1,A2,B2", "--max-coord", "2", "--max-m", "9"],
+            ["--types", "A1,Z3"],
+            ["--types", "A1", "--max-coord", "-1"],
+            ["--types", "A1", "--max", str(MAX_COMB + 1)],
+            ["--types", "A1", "--points", "0"],
+        ],
+        ids=["max-m", "types", "max-coord", "max", "points"],
+    )
+    def test_verify_all_refuses_parameters_before_any_check(self, capsys, monkeypatch, argv):
+        """A malformed parameter of any selected check exits 2 before the
+        first check runs and before any module is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran or a module was built")
+
+        for name in verify.CHECKS:
+            monkeypatch.setitem(verify.CHECKS, name, refuse)
+        monkeypatch.setattr(algebra, "highest_weight_module", refuse)
+        code, obj = run(capsys, "verify", "all", *argv)
+        assert code == EXIT_BAD_INPUT and obj is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin", "--max-coord", "-1", "--types", "Z3", "--points", "0"],
+            ["comb", "--max-m", "9", "--types", "Z3"],
+            ["det", "--types", "A1", "--max-coord", "-1", "--points", "1"],
+        ],
+    )
+    def test_unread_parameters_are_ignored(self, capsys, argv):
+        code, obj = run(capsys, "verify", *argv)
+        assert code == EXIT_OK and obj["summary"]["failed"] == 0
 
 
 class TestVerify:
