@@ -10,14 +10,16 @@ split semisimple Lie algebras", J. Pure Appl. Algebra 164 (2001).  The form is
 read off the module's own e_i, built level by level with the basis, and the
 Gram rows of the level above.  The module operators are sparse exact columns;
 the non-simple root vectors are commutators of earlier ones, each built column
-by column in integers.  The Casimir inverts the invariant form by its blocks
-(h with h, e_alpha with f_alpha), never as a whole.
+by column in integers.  Every invariant form is a scale c times the Killing
+form, kept once per algebra as its nonzero integer entries; the Casimir
+inverts c K by its blocks (h with h, e_alpha with f_alpha), never as a whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -145,7 +147,8 @@ class ChevalleyAlgebra:
         self._index = {b: i for i, b in enumerate(self.basis)}
         self.dimension = len(self.basis)
         self._bracket_cache: dict[tuple[Label, Label], dict[Label, int]] = {}
-        self._killing: ExactMatrix | None = None
+        self._killing: dict[tuple[int, int], int] | None = None
+        self._killing_dual: ExactMatrix | None = None
 
     # -- root/coroot helpers
 
@@ -208,47 +211,53 @@ class ChevalleyAlgebra:
 
     # -- invariant forms
 
-    def killing_form(self) -> ExactMatrix:
-        """B(x, y) = tr(ad x ad y) on the full basis, read off the bracket
-        table: the sum over basis elements b of the b-coefficient of
-        [x, [y, b]]."""
+    def killing_form(self) -> dict[tuple[int, int], int]:
+        """The nonzero entries K[i, j] = B(x_i, x_j) = tr(ad x_i ad x_j) on the
+        full basis, read off the bracket table once per algebra: the sum over
+        basis elements b of the b-coefficient of [x_i, [x_j, b]]."""
         if self._killing is None:
             basis, n = self.basis, self.dimension
-            B = ExactMatrix(n, n)
+            K = {}
             for i, x in enumerate(basis):
                 for j in range(i, n):
-                    B[i, j] = B[j, i] = sum(
+                    v = sum(
                         c * self.bracket(x, z).get(b, 0)
                         for b in basis
                         for z, c in self.bracket(basis[j], b).items()
                     )
-            self._killing = B
+                    if v:
+                        K[i, j] = K[j, i] = v
+            self._killing = K
         return self._killing
 
     def killing_dual_form_on_weights(self) -> ExactMatrix:
-        """Gram matrix of the Killing-dual form on h* in fundamental coords."""
-        r, K = self.datum.rank, self.killing_form()
-        return ExactMatrix.from_rows([[K[i, j] for j in range(r)] for i in range(r)]).inverse()
+        """Gram matrix of the Killing-dual form on h* in fundamental coords:
+        the inverse of the Killing form's h block, computed once."""
+        if self._killing_dual is None:
+            r, K = self.datum.rank, self.killing_form()
+            h = ExactMatrix.from_rows([[K.get((i, j), 0) for j in range(r)] for i in range(r)])
+            self._killing_dual = h.inverse()
+        return self._killing_dual
 
-    def invariant_form(self, choice: str) -> ExactMatrix:
-        """Nondegenerate invariant form on the whole algebra."""
-        K = self.killing_form()
+    def form_scale(self, choice: str) -> Fraction:
+        """The c with the invariant form of `choice` equal to c times the
+        Killing form: 1 for "killing"; for "short-root-2" the c whose dual
+        form on h* is the short-root-2 Gram matrix of the datum."""
         if choice == "killing":
-            return K
+            return Fraction(1)
         if choice == "short-root-2":
-            # scale the Killing form so the dual form on h* is the
-            # short-root-2 Gram matrix of the datum
             dual = self.killing_dual_form_on_weights()
             G, r = self.datum.form, self.datum.rank
             # the ratio at the first nonzero entry of G, in row-major order
             c = next(dual[i, j] / G[i, j] for i in range(r) for j in range(r) if G[i, j] != 0)
             if c == 0:
                 raise InvariantError("the Killing-dual form vanishes on h*")
-            return K.scale_by(c)
+            return c
         raise ValueError(f"unknown form choice {choice!r}")
 
     def weight_form_gram(self, choice: str) -> ExactMatrix:
-        """Gram matrix on h* (fundamental coords) dual to invariant_form."""
+        """Gram matrix on h* (fundamental coords) dual to the invariant form
+        form_scale(choice) times the Killing form."""
         if choice == "killing":
             return self.killing_dual_form_on_weights()
         if choice == "short-root-2":
@@ -273,7 +282,6 @@ class ParabolicSplit:
     a_basis: tuple[tuple[Fraction, ...], ...]  # vectors in coroot coordinates
     levi_roots: tuple[Weight, ...]  # positive roots of the Levi
     n_roots: tuple[Weight, ...]
-    two_rho_P: tuple[Fraction, ...]  # restricted to a
 
     @property
     def datum(self) -> RootDatum:
@@ -282,15 +290,18 @@ class ParabolicSplit:
     def a_dim(self) -> int:
         return len(self.a_basis)
 
-    def m_dim(self) -> int:
-        return len(self.levi) + 2 * len(self.levi_roots)
-
     def restrict_to_a(self, lam) -> tuple[Fraction, ...]:
         """Value list of the weight on the a-basis elements."""
         return tuple(
             sum((Fraction(b[j]) * lam[j] for j in range(len(lam))), Fraction(0))
             for b in self.a_basis
         )
+
+    @cached_property
+    def n_weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each n-root restricted to a, computed on first use (the setup of a
+        split that never reads them stays cheap)."""
+        return tuple(map(self.restrict_to_a, self.n_roots))
 
 
 def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
@@ -310,21 +321,7 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
             tuple(Fraction(int(i == j)) for j in range(datum.rank))
             for i in range(datum.rank)
         )
-    total = (0,) * datum.rank
-    for r in n_roots:
-        total = _add(total, r)
-    split = ParabolicSplit(
-        alg,
-        levi,
-        a_basis,
-        levi_roots,
-        n_roots,
-        tuple(
-            sum((Fraction(b[j]) * total[j] for j in range(datum.rank)), Fraction(0))
-            for b in a_basis
-        ),
-    )
-    return split
+    return ParabolicSplit(alg, levi, a_basis, levi_roots, n_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -534,32 +531,31 @@ def _commutator(x: SparseMatrix, y: SparseMatrix, n: int) -> SparseMatrix:
 def casimir_matrix(
     alg: ChevalleyAlgebra, mod: WeightModule, form_choice: str = "killing"
 ) -> SparseMatrix:
-    """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form, summed
-    in integers over the lcm of the terms' denominators.  In a Chevalley
-    basis the form pairs h only with h and e_alpha only with f_alpha, so its
-    inverse is one r x r inverse on h and 1 / B(e_alpha, f_alpha) per positive
-    root; a nonzero entry outside those blocks raises InvariantError."""
-    F = alg.invariant_form(form_choice)
+    """sum_i rho(X_i) rho(Y_i) over bases dual under the chosen form, c K with
+    c = form_scale(form_choice), summed in integers over the lcm of the terms'
+    denominators.  In a Chevalley basis K pairs h only with h and e_alpha only
+    with f_alpha, so the inverse of c K is the Killing-dual form over c on h
+    and 1 / (c K(e_alpha, f_alpha)) per positive root; a nonzero entry of K
+    outside those blocks raises InvariantError."""
+    K, scale = alg.killing_form(), alg.form_scale(form_choice)
     basis, size, r = alg.basis, alg.dimension, alg.datum.rank
     npos = (size - r) // 2  # e_alpha is basis[r + m], f_alpha basis[r + npos + m]
-    for ij, v in enumerate(F.entries):
-        if v:
-            i, j = divmod(ij, size)
-            if not (i < r and j < r or i >= r and j >= r and abs(i - j) == npos):
-                raise InvariantError(
-                    f"the invariant form pairs {basis[i]} with {basis[j]} outside its blocks"
-                )
-    Hinv = ExactMatrix.from_rows([F.row(i)[:r] for i in range(r)]).inverse()  # raises if singular
+    for i, j in K:
+        if not (i < r and j < r or i >= r and j >= r and abs(i - j) == npos):
+            raise InvariantError(
+                f"the invariant form pairs {basis[i]} with {basis[j]} outside its blocks"
+            )
+    dual = alg.killing_dual_form_on_weights()  # raises if singular
     act = mod.action
-    terms = []  # (F^-1[k, i], rho(basis[i]), rho(basis[k])) by i, then k
+    terms = []  # ((c K)^-1[k, i], rho(basis[i]), rho(basis[k])) by i, then k
     for i, x in enumerate(basis):
         if i < r:
-            terms += [(Hinv[k, i], act[x], act[basis[k]]) for k in range(r) if Hinv[k, i]]
+            terms += [(dual[k, i] / scale, act[x], act[basis[k]]) for k in range(r) if dual[k, i]]
             continue
         k = i + npos if i < r + npos else i - npos
-        if not F[i, k]:
+        if not K.get((i, k)):
             raise ValueError(f"the invariant form is degenerate at {x}")
-        terms.append((1 / F[i, k], act[x], act[basis[k]]))
+        terms.append((1 / (scale * K[i, k]), act[x], act[basis[k]]))
     den = lcm(*(c.denominator * a.den * b.den for c, a, b in terms))
     acc: list[dict[int, int]] = [{} for _ in range(mod.dimension)]
     for c, a, b in terms:

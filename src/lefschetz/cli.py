@@ -151,10 +151,9 @@ def cmd_spectral(args) -> int:
 
 def cmd_geometric(args) -> int:
     datum, alg, split = _build(args.type, _parse_levi(args.levi))
-    n_weights = [split.restrict_to_a(r) for r in split.n_roots]
     out = []
     for rec in _load_ledger(args.ledger, split):
-        c = formula.geometric_term(rec, n_weights)
+        c = formula.geometric_term(rec, split.n_weights)
         out.append({"record": rec.to_json_obj(), "c": [c.real, c.imag]})
     _emit({"type": datum.label, "levi": sorted(split.levi), "classes": out})
     return EXIT_OK

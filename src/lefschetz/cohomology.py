@@ -233,11 +233,6 @@ class CEComplex:
                 rest = (rest - 1) & others
         return scale
 
-    def cochain_dimension(self, q: int) -> int:
-        if not 0 <= q <= self.top:
-            return 0
-        return sum(len(v) for v in self.bases[q].values())
-
     def verify_complex(self) -> bool:
         """Every entry of each map composed with the next is exactly zero:
         each block of d_{q+step} is applied to the columns of d_q, and the

@@ -237,13 +237,6 @@ class ExactMatrix:
         flat = [x for row in rows_data for x in row]
         return cls(r, c, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m[i, i] = Fraction(1)
-        return m
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -264,10 +257,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def scale_by(self, c) -> "ExactMatrix":
-        c = _as_fraction(c)
-        return ExactMatrix(self.rows, self.cols, [c * x for x in self.entries])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -282,20 +271,6 @@ class ExactMatrix:
                 for j in range(other.cols):
                     out.entries[obase + j] += a * other.entries[base + j]
         return out
-
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [
-            sum((a * _as_fraction(v) for a, v in zip(self.row(i), vec)), Fraction(0))
-            for i in range(self.rows)
-        ]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-    def rank(self) -> int:
-        return rank_and_kernel(self)[0]
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:

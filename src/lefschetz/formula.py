@@ -294,7 +294,8 @@ def geometric_term(
                 f"weight {tuple(w)} is not negative on a_log; record lies "
                 "outside the negative chamber"
             )
-        det *= 1 - complex(u) * math.exp(expo)
+        # 1 - u e^x without the cancellation of 1 - e^x as x -> 0-
+        det *= -math.expm1(expo) if u == 1 else (1 - u) - u * math.expm1(expo)
     if abs(det) < 1e-300:
         raise ValueError("vanishing determinant")
     return (
@@ -367,7 +368,7 @@ def balance_evaluator(
     if n_weights is None:
         if split is None:
             raise ValueError("need either explicit n-weights or a split")
-        n_weights = [split.restrict_to_a(r) for r in split.n_roots]
+        n_weights = split.n_weights
     table = spec.combined()
     # a^lambda = exp(<lambda, a_log>) = exp(<-lambda, t>) on the boxes
     global_side = math.fsum(

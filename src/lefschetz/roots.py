@@ -110,12 +110,6 @@ class WeylElement:
         """w(lam) = sum_k lam_k w(omega_k)."""
         return tuple(sum(map(mul, lam, row)) for row in zip(*self.columns))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # columns of the composite; word is concatenated, not reduced
-        return WeylElement(
-            self.reduced_word + other.reduced_word, tuple(map(self.act, other.columns)), -1
-        )
-
 
 class RootDatum:
     """Root system data in fundamental-weight coordinates, with the invariant
@@ -142,7 +136,6 @@ class RootDatum:
             for j in range(rank):
                 G[i, j] = self._d[i] * Ainv[j, i]
         self.form = G
-        self._cartan_inverse = Ainv
         self._root_coords = self._close_positive_roots()
         self.positive_roots: list[Weight] = list(self._root_coords)
 
@@ -169,25 +162,6 @@ class RootDatum:
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam)
-
-    def inner(self, lam, mu) -> Fraction:
-        """(lam, mu) under the datum's form."""
-        total = Fraction(0)
-        for i, a in enumerate(lam):
-            if a == 0:
-                continue
-            for j, b in enumerate(mu):
-                if b:
-                    total += Fraction(a) * self.form[i, j] * Fraction(b)
-        return total
-
-    def weight_norm(self, lam) -> Fraction:
-        return self.inner(lam, lam)
-
-    def root_coordinates(self, lam) -> list[Fraction]:
-        """Coordinates of lam in the simple-root basis (rational): (A^-1)^T lam."""
-        inv = self._cartan_inverse
-        return [sum(x * inv[j, i] for j, x in enumerate(lam)) for i in range(self.rank)]
 
     def _close_positive_roots(self) -> dict[Weight, tuple[int, ...]]:
         """Each positive root with its simple-root coordinates, by height: the
@@ -300,10 +274,6 @@ class RootDatum:
             for _, cols in level.values()
         ]
         return sorted(group, key=lambda w: (w.length, w.reduced_word))
-
-    def inversion_count(self, w: WeylElement) -> int:
-        """Number of positive roots sent to negative roots."""
-        return sum(w.act(r) not in self._root_coords for r in self.positive_roots)
 
     # -- dimension formula
 

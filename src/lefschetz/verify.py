@@ -208,13 +208,12 @@ def _det(cfg, sweep):
     rng = random.Random(cfg["seed"])
     for label in cfg["types"]:
         for datum, split in sweep.splits(label):
-            weights = [split.restrict_to_a(r) for r in split.n_roots]
             for _ in range(points):
                 point = tuple(
                     Fraction(rng.randint(1, 9), rng.randint(1, 9))
                     for _ in range(split.a_dim())
                 )
-                if not formula.det_identity_check(weights, point):
+                if not formula.det_identity_check(split.n_weights, point):
                     return {
                         "type": datum.label,
                         "levi": sorted(split.levi),

@@ -25,6 +25,7 @@ from lefschetz.algebra import (
     parabolic_split,
 )
 from lefschetz.exact import ExactMatrix, InvariantError, SparseMatrix, flat, image, pairs
+from lefschetz.exact import rank_and_kernel
 from lefschetz.roots import build_root_system
 from lefschetz.verify import CHECKS, Sweep
 
@@ -46,6 +47,17 @@ ALL_TYPES = (
 
 def algebra(label):
     return build_chevalley_algebra(build_root_system(label))
+
+
+def form_matrix(alg, choice):
+    """The g x g matrix of the invariant form of `choice`, c K, in Fractions."""
+    K, c, n = alg.killing_form(), alg.form_scale(choice), alg.dimension
+    return ExactMatrix.from_rows([[c * K.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+def inner(datum, lam, mu):
+    """(lam, mu) under the datum's Gram matrix on fundamental coordinates."""
+    return sum(a * datum.form[i, j] * b for i, a in enumerate(lam) for j, b in enumerate(mu))
 
 
 def sparse_product(a, b):
@@ -138,11 +150,10 @@ class TestIntegerRootTable:
         for label in ALL_TYPES:
             alg = algebra(label)
             d = alg.datum
-            simple = [d.weight_norm(a) for a in d.simple_roots]
-            for r in d.positive_roots:
-                norm = d.weight_norm(r)
+            simple = [inner(d, a, a) for a in d.simple_roots]
+            for r, coords in d.partition_roots(())[1]:
+                norm = inner(d, r, r)
                 assert alg.constants.norm[r] == norm, (label, r)
-                coords = d.root_coordinates(r)
                 expected = [c * n_i / norm for c, n_i in zip(coords, simple)]
                 assert alg.coroot_coefficients(r) == expected, (label, r)
 
@@ -168,10 +179,10 @@ class TestKillingForm:
     def test_a1_values(self):
         alg = algebra("A1")
         K = alg.killing_form()
-        # basis order: h, e, f
+        # basis order: h, e, f; only the nonzero entries are kept
         assert K[0, 0] == 8
         assert K[1, 2] == 4
-        assert K[1, 1] == 0
+        assert (1, 1) not in K and 0 not in K.values()
 
     def test_invariance(self):
         alg = algebra("A2")
@@ -181,11 +192,11 @@ class TestKillingForm:
             for y in alg.basis:
                 for z in alg.basis:
                     lhs = sum(
-                        (c * K[idx[w], idx[z]] for w, c in alg.bracket(x, y).items()),
+                        (c * K.get((idx[w], idx[z]), 0) for w, c in alg.bracket(x, y).items()),
                         Fraction(0),
                     )
                     rhs = sum(
-                        (c * K[idx[y], idx[w]] for w, c in alg.bracket(x, z).items()),
+                        (c * K.get((idx[y], idx[w]), 0) for w, c in alg.bracket(x, z).items()),
                         Fraction(0),
                     )
                     assert lhs + rhs == 0
@@ -193,7 +204,33 @@ class TestKillingForm:
     def test_nondegenerate(self):
         for label in ("A1", "B2"):
             alg = algebra(label)
-            assert alg.killing_form().rank() == alg.dimension
+            assert rank_and_kernel(form_matrix(alg, "killing"))[0] == alg.dimension
+
+    def test_computed_once(self):
+        """The entries and the dual form on h* are computed once per algebra."""
+        alg = algebra("B2")
+        assert alg.killing_form() is alg.killing_form()
+        assert alg.killing_dual_form_on_weights() is alg.killing_dual_form_on_weights()
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C3", "G2", "F4"])
+    def test_form_scale_gives_the_short_root_2_dual_form(self, label):
+        """c K with c = form_scale("short-root-2") has the datum's Gram matrix
+        as its dual form on h*, and the Killing form has scale 1."""
+        alg = algebra(label)
+        r, form = alg.datum.rank, form_matrix(alg, "short-root-2")
+        h = ExactMatrix.from_rows([form.row(i)[:r] for i in range(r)])
+        assert h.inverse() == alg.datum.form
+        assert alg.form_scale("killing") == 1 and alg.form_scale("short-root-2") > 0
+
+    def test_form_scale_refusals(self, monkeypatch):
+        alg = algebra("A2")
+        with pytest.raises(ValueError, match="unknown form choice"):
+            alg.form_scale("trace")
+        monkeypatch.setattr(
+            ChevalleyAlgebra, "killing_dual_form_on_weights", lambda self: ExactMatrix(2, 2)
+        )
+        with pytest.raises(InvariantError, match="vanishes on h"):
+            alg.form_scale("short-root-2")
 
 
 class TestParabolicSplit:
@@ -218,7 +255,8 @@ class TestParabolicSplit:
         alg = algebra("B2")
         for levi in (set(), {0}, {1}, {0, 1}):
             split = parabolic_split(alg, levi)
-            assert split.a_dim() + split.m_dim() + 2 * len(split.n_roots) == alg.dimension
+            m_dim = len(split.levi) + 2 * len(split.levi_roots)
+            assert split.a_dim() + m_dim + 2 * len(split.n_roots) == alg.dimension
 
     def test_n_closed_under_bracket(self):
         alg = algebra("B2")
@@ -231,12 +269,12 @@ class TestParabolicSplit:
                     assert s in n_set
 
     def test_two_rho_p_is_n_root_sum(self):
-        alg = algebra("A2")
-        split = parabolic_split(alg, {0})
-        total = (0,) * 2
-        for r in split.n_roots:
-            total = tuple(x + y for x, y in zip(total, r))
-        assert split.two_rho_P == split.restrict_to_a(total)
+        """The n-weights are the n-roots on a, and sum to 2 rho_P on a."""
+        for label, levi in (("A2", {0}), ("B2", set()), ("G2", {1}), ("A3", {0, 2})):
+            split = parabolic_split(algebra(label), levi)
+            total = tuple(map(sum, zip(*split.n_roots)))
+            assert split.n_weights == tuple(map(split.restrict_to_a, split.n_roots))
+            assert tuple(map(sum, zip(*split.n_weights))) == split.restrict_to_a(total)
 
     def test_bad_levi_rejected(self):
         with pytest.raises(ValueError):
@@ -362,7 +400,30 @@ MODULE_DIGESTS = {
 }
 
 
+CASIMIR_DIGESTS = {
+    ("B2", (2, 3)): "875024dfb243e9b269d1cadfe3efe2295fd75023c27f22ef77b81e89ed8a46b8",
+    ("G2", (1, 1)): "a89ba6480ea892c28922f68926a663d7cc4a4a9537d7c3c37b3ddd440770c720",
+    ("C3", (1, 1, 0)): "351d7e0707be5a8e3fac14890d43d4a194a449b92ea86e313b179ecbec34dc91",
+    ("A3", (1, 1, 1)): "bfc5d4e3c4e8e4c0490d6a01855564911c673916caf60b0c6d24331e9f8ab0b4",
+    ("A2", (2, 4)): "4193a9d067a1c7634c01f7514adf366ac8c89beee60b37a6ab156bc8512885c6",
+    ("G2", (2, 1)): "2b44bdb1c0e3e48630fad17a9e1374a4b5e7e67a5ba534310b65702b10ba17e8",
+}
+
+
 class TestIntegerModules:
+    @pytest.mark.parametrize("label, lam", list(CASIMIR_DIGESTS))
+    def test_casimir_is_pinned(self, label, lam):
+        """The Casimir matrix (den, columns) under both forms, as it was summed
+        over the blocks of a g x g Fraction form: the benchmark's module pool
+        and G2 (2,1)."""
+        alg = algebra(label)
+        mod = highest_weight_module(alg, lam)
+        digest = hashlib.sha256()
+        for form in ("killing", "short-root-2"):
+            c = casimir_matrix(alg, mod, form)
+            digest.update(repr((form, c.den, c.columns)).encode())
+        assert digest.hexdigest() == CASIMIR_DIGESTS[label, lam]
+
     @pytest.mark.parametrize("label, lam", list(MODULE_DIGESTS))
     def test_operators_are_pinned(self, label, lam):
         """Every operator (label, den, columns) and the basis weights, as the
@@ -501,15 +562,16 @@ class TestCasimir:
             """
             import sys
             from lefschetz import algebra
+            from lefschetz.exact import ExactMatrix
             from lefschetz.roots import build_root_system
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
             alg = algebra.build_chevalley_algebra(build_root_system("A1"))
             mod = algebra.highest_weight_module(alg, (2,))
-            algebra.ChevalleyAlgebra.weight_form_gram = (
-                lambda self, choice: self.datum.form.scale_by(2)
-            )
+            G = alg.datum.form
+            doubled = ExactMatrix(G.rows, G.cols, [2 * x for x in G.entries])
+            algebra.ChevalleyAlgebra.weight_form_gram = lambda self, choice: doubled
             try:
                 algebra.casimir_eigenvalue(alg, mod, "short-root-2")
             except AssertionError as e:
@@ -577,12 +639,12 @@ class TestRootVectorsAndCasimirBlocks:
     @pytest.mark.parametrize("label, lam", SMALL_MODULES)
     def test_casimir_matches_the_full_inverse(self, label, lam):
         """casimir_matrix equals sum_{i,k} F^-1[k, i] rho(x_i) rho(x_k) with
-        F^-1 the g x g inverse of the chosen invariant form."""
+        F^-1 the g x g inverse of the chosen invariant form F = c K."""
         alg = algebra(label)
         mod = highest_weight_module(alg, lam)
         act, basis = mod.action, alg.basis
         for form in ("killing", "short-root-2"):
-            Finv = alg.invariant_form(form).inverse()
+            Finv = form_matrix(alg, form).inverse()
             terms = [
                 (Finv[k, i], sparse_product(act[x], act[y]))
                 for i, x in enumerate(basis)
@@ -597,11 +659,10 @@ class TestRootVectorsAndCasimirBlocks:
         position, raises InvariantError before the Casimir is summed."""
         alg = algebra(label)
         mod = highest_weight_module(alg, lam)
-        form = alg.invariant_form("killing")
+        form = alg.killing_form()
         for i, j in outside_blocks(alg):
-            corrupt = ExactMatrix(form.rows, form.cols, form.entries)
-            corrupt[i, j] = 1
-            monkeypatch.setattr(ChevalleyAlgebra, "invariant_form", lambda self, choice: corrupt)
+            corrupt = {**form, (i, j): 1}
+            monkeypatch.setattr(ChevalleyAlgebra, "killing_form", lambda self: corrupt)
             with pytest.raises(InvariantError, match="outside its blocks"):
                 casimir_matrix(alg, mod)
 
@@ -612,21 +673,19 @@ class TestRootVectorsAndCasimirBlocks:
             """
             import sys
             from lefschetz import algebra
-            from lefschetz.exact import ExactMatrix
             from lefschetz.roots import build_root_system
             from test_algebra import SMALL_MODULES, outside_blocks
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
-            refused = 0
+            refused, killing_form = 0, algebra.ChevalleyAlgebra.killing_form
             for label, lam in SMALL_MODULES:
                 alg = algebra.build_chevalley_algebra(build_root_system(label))
                 mod = algebra.highest_weight_module(alg, lam)
-                form = alg.killing_form()
+                form = killing_form(alg)
                 for i, j in [outside_blocks(alg)[0], outside_blocks(alg)[-1]]:
-                    corrupt = ExactMatrix(form.rows, form.cols, form.entries)
-                    corrupt[i, j] = 1
-                    algebra.ChevalleyAlgebra.invariant_form = lambda self, choice: corrupt
+                    corrupt = {**form, (i, j): 1}
+                    algebra.ChevalleyAlgebra.killing_form = lambda self: corrupt
                     try:
                         algebra.casimir_matrix(alg, mod)
                     except AssertionError as e:
@@ -647,8 +706,8 @@ class TestRootVectorsAndCasimirBlocks:
         alg = algebra("A2")
         mod = highest_weight_module(alg, (1, 0))
         form, top = alg.killing_form(), alg.datum.positive_roots[-1]
-        corrupt = ExactMatrix(form.rows, form.cols, form.entries)
-        corrupt[alg._index["e", top], alg._index["f", top]] = 0
-        monkeypatch.setattr(ChevalleyAlgebra, "invariant_form", lambda self, choice: corrupt)
+        corrupt = dict(form)
+        del corrupt[alg._index["e", top], alg._index["f", top]]
+        monkeypatch.setattr(ChevalleyAlgebra, "killing_form", lambda self: corrupt)
         with pytest.raises(ValueError, match="degenerate"):
             casimir_matrix(alg, mod)

@@ -119,8 +119,24 @@ class TestPlainCommands:
                 "--type A3 --levi 0,2 --weight 1,0,1",
                 "62d2a58bf4bb8ee2c7c16ee874c19ac1142bd4c0a22aef053d065169882959d9",
             ),
+            (
+                "--type E7 --levi 0,1,2,3,4,5 --weight 0,0,0,0,0,0,0 --tau 0,0,0,0,0,0,1",
+                "28ff960fad643f46ece73172e9f23baefd0b562f579af446927f9d41935f4438",
+            ),
+            (
+                "--type E6 --levi 1,2,3,4,5 --weight 0,0,0,0,0,0 --tau 0,1,0,0,0,0",
+                "6c6a97271a8e07611a7c0ae3339568da20d00f5a20aecbe48f38322c3bd1ea47",
+            ),
         ],
-        ids=["A1", "A2-levi-0", "B2-levi-1-tau", "G2-levi-0-tau", "A3-levi-0,2"],
+        ids=[
+            "A1",
+            "A2-levi-0",
+            "B2-levi-1-tau",
+            "G2-levi-0-tau",
+            "A3-levi-0,2",
+            "E7-without-node-7-tau",
+            "E6-adjoint-tau",
+        ],
     )
     def test_spectral_pinned(self, capsys, argv, digest):
         """The printed spectral table, byte for byte, as the route through the

@@ -107,20 +107,21 @@ class TestWeightMultiplicities:
 
 def fraction_freudenthal(datum, lam, levi):
     """Freudenthal's recursion over Fractions with the datum's own form: the
-    norms |mu + rho_L|^2 and pairings (nu, alpha) from `datum.inner`."""
+    norms |mu + rho_L|^2 and pairings (nu, alpha) from the Gram matrix
+    `datum.form` on fundamental coordinates."""
     levi = sorted(levi)
     lam = tuple(lam)
     if not levi:
         return {lam: 1}
-    pos = [
-        r for r in datum.positive_roots
-        if all(c == 0 for i, c in enumerate(datum.root_coordinates(r)) if i not in levi)
-    ]
+    pos = [r for r, _ in datum.partition_roots(levi)[0]]
     rho_l = [sum(Fraction(r[j], 2) for r in pos) for j in range(datum.rank)]
+
+    def inner(a, b):
+        return sum(x * datum.form[i, j] * y for i, x in enumerate(a) for j, y in enumerate(b))
 
     def shifted_norm(mu):
         v = [a + b for a, b in zip(mu, rho_l)]
-        return datum.inner(v, v)
+        return inner(v, v)
 
     mult, level = {lam: 1}, [lam]
     while level:
@@ -133,7 +134,7 @@ def fraction_freudenthal(datum, lam, levi):
             for alpha in pos:
                 k = 1
                 while (nu := tuple(a + k * b for a, b in zip(mu, alpha))) in mult:
-                    rhs += 2 * mult[nu] * datum.inner(nu, alpha)
+                    rhs += 2 * mult[nu] * inner(nu, alpha)
                     k += 1
             if rhs:
                 val = rhs / (shifted_norm(lam) - shifted_norm(mu))
@@ -204,17 +205,22 @@ def test_freudenthal_invariant_survives_optimize_flag():
     assert "raised: Freudenthal multiplicity 11/4 of (0, 1)" in proc.stdout
 
 
+def cochains(cx, q):
+    """dim C^q, the labels of the weight blocks of degree q."""
+    return sum(len(labels) for labels in cx.bases[q].values())
+
+
 class TestComplex:
     def test_a1_borel_trivial_dims(self):
         _, split, mod = setup("A1", set(), (0,))
         cx = build_ce_complex(split, mod)
-        assert [cx.cochain_dimension(q) for q in (0, 1)] == [1, 1]
+        assert [cochains(cx, q) for q in (0, 1)] == [1, 1]
         assert cx.verify_complex()
 
     def test_a2_borel_binomial_dims(self):
         _, split, mod = setup("A2", set(), (0, 0))
         cx = build_ce_complex(split, mod)
-        assert [cx.cochain_dimension(q) for q in range(4)] == [1, 3, 3, 1]
+        assert [cochains(cx, q) for q in range(4)] == [1, 3, 3, 1]
 
     def test_d_squared_zero(self):
         for label in ("A2", "B2"):

@@ -1,5 +1,6 @@
 """Spectral terms, geometric coefficients and the balance evaluator."""
 
+import decimal
 import itertools
 import math
 import random
@@ -213,6 +214,42 @@ class TestGeometricTerm:
         u = complex(math.cos(1.0), math.sin(1.0))
         value = geometric_term(rec, [(1,)], [u])
         assert abs(value - 1 / (1 - u * math.exp(-1.0))) < 1e-14
+
+    @pytest.mark.parametrize("a_log", [-1e-3, -1e-6, -1e-9, -1e-12])
+    def test_no_cancellation_near_the_wall(self, a_log):
+        """c = 1 / (1 - e^a) for the weight (1,) against a 60-digit decimal
+        reference: 1 - e^a is formed as -expm1(a), so the relative error stays
+        at the rounding of expm1 and one division as a -> 0-."""
+        rec = GeodesicClassRecord((a_log,), 1.0, Fraction(1), 1 + 0j, 1 + 0j)
+        value = geometric_term(rec, [(1,)])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ref = 1 / (1 - decimal.Decimal(a_log).exp())
+            assert value.imag == 0
+            assert abs(decimal.Decimal(value.real) - ref) / ref < decimal.Decimal(2) ** -51
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([-1e-3, -1e-6, -1e-9, -1e-12]) | st.floats(-30.0, -1e-12),
+    )
+    def test_unit_multiplier_against_decimal(self, theta, a_log):
+        """c = 1 / (1 - u e^a) for a unit-modulus u, against a 60-digit
+        decimal reference on the float parts of u: 1 - u e^a is formed as
+        (1 - u) - u expm1(a), whose two terms are less than a right angle
+        apart, so neither part cancels."""
+        u = complex(math.cos(theta), math.sin(theta))
+        rec = GeodesicClassRecord((a_log,), 1.0, Fraction(1), 1 + 0j, 1 + 0j)
+        value = geometric_term(rec, [(1,)], [u])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            D = decimal.Decimal
+            e = D(a_log).exp()
+            re, im = 1 - D(u.real) * e, -D(u.imag) * e  # 1 - u e^a
+            norm = re * re + im * im
+            err_re, err_im = D(value.real) - re / norm, D(value.imag) + im / norm
+            # |c - ref|^2 / |ref|^2, with |ref|^2 = 1 / norm
+            assert (err_re * err_re + err_im * err_im) * norm < D(2) ** -100
 
     def test_record_outside_chamber_rejected(self):
         rec = GeodesicClassRecord((1.0,), 1.0, Fraction(1), 1 + 0j, 1 + 0j)

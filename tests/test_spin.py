@@ -78,7 +78,7 @@ class TestCliffordAction:
     def test_wedge_square_zero(self):
         sp = PolarizedSpace(2)
         m = dense(sp, ("vhat", 1))
-        assert (m @ m).is_zero()
+        assert not any((m @ m).entries)
 
     def test_koszul_signs(self):
         sp = PolarizedSpace(2)
@@ -94,7 +94,7 @@ class TestCliffordAction:
         sp = PolarizedSpace(3)
         for gen in sp.generators():
             m = dense(sp, gen)
-            assert (m @ m).is_zero()  # -q(x) = 0 on isotropic generators
+            assert not any((m @ m).entries)  # -q(x) = 0 on isotropic generators
 
     def test_clifford_relation_through_m6(self):
         for m in range(1, 7):
@@ -103,13 +103,14 @@ class TestCliffordAction:
     def test_dense_anticommutators_through_m3(self):
         for m in range(1, 4):
             sp = PolarizedSpace(m)
-            identity = ExactMatrix.identity(1 << m)
+            n = 1 << m
             for x in sp.generators():
                 for y in sp.generators():
                     # x.y + y.x = -2 q(x, y), entry for entry
-                    expected = identity.scale_by(-2 * sp.pairing(x, y))
+                    c = -2 * sp.pairing(x, y)
+                    expected = [c * (i == j) for i in range(n) for j in range(n)]
                     xy, yx = dense(sp, x) @ dense(sp, y), dense(sp, y) @ dense(sp, x)
-                    assert [a + b for a, b in zip(xy.entries, yx.entries)] == expected.entries
+                    assert [a + b for a, b in zip(xy.entries, yx.entries)] == expected
 
     def test_wrong_contraction_coefficient_fails(self, capsys, monkeypatch):
         # contraction with coefficient 1: x.y + y.x = -q(x,y), not -2q(x,y)
