@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub
 
 from .exact import ExactMatrix, InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import _integral, flat, image, pairs, rank_and_kernel
+from .exact import _integral, image, rank_and_kernel
 from .roots import RootDatum
 
 # Largest module built, in dimension.  Measured in process with Python 3.11.7
@@ -354,21 +354,19 @@ def _sylvester(num: int, det: int) -> int:
     return q
 
 
-def _operator(dim: int, cols: list[tuple[tuple, int]]) -> SparseMatrix:
-    """The operator whose column j is the flat integer column cols[j][0]
-    over cols[j][1], put over the lcm of those denominators."""
+def _operator(dim: int, cols: list[tuple[dict[int, int], int]]) -> SparseMatrix:
+    """The operator whose column j is the integer column cols[j][0] over
+    cols[j][1], put over the lcm of those denominators."""
     den = lcm(*(d for _, d in cols))
     return SparseMatrix(
-        dim,
-        [flat({r: v * (den // d) for r, v in pairs(col)}) if d != den else col for col, d in cols],
-        den,
+        dim, [{r: v * (den // d) for r, v in c.items()} if d != den else c for c, d in cols], den
     )
 
 
-def _pairing(col: tuple, den: int, gram_row: dict[int, int]) -> int:
+def _pairing(col: dict[int, int], den: int, gram_row: dict[int, int]) -> int:
     """<x, f_i w> = <e_i x, w> for e_i x = col / den on the basis words of w's
     weight and w's Gram row on them: a Shapovalov pairing, so an integer."""
-    q, rem = divmod(sum(v * gram_row[r] for r, v in pairs(col)), den)
+    q, rem = divmod(sum(v * gram_row[r] for r, v in col.items()), den)
     if rem:
         raise InvariantError(f"inexact Shapovalov pairing division by {den}")
     return q
@@ -398,21 +396,21 @@ def highest_weight_module(
     # basis words of its weight, its e_k columns and, once the next level is
     # done, its f_i columns, each column integers over a denominator
     weights, gram = [lam], [{0: 1}]
-    e_cols: list[list[tuple[tuple, int]]] = [[((), 1)] for _ in range(rank)]  # e_k v = 0
-    f_cols: list[list[tuple]] = [[] for _ in range(rank)]
+    e_cols: list[list[tuple[dict, int]]] = [[({}, 1)] for _ in range(rank)]  # e_k v = 0
+    f_cols: list[list[dict[int, int]]] = [[] for _ in range(rank)]
     f_dens: list[list[int]] = [[] for _ in range(rank)]
 
-    def e_of_f(k: int, i: int, t: int) -> tuple[tuple, int]:
+    def e_of_f(k: int, i: int, t: int) -> tuple[dict[int, int], int]:
         """e_k f_i w for the basis word w of index t, reduced."""
         col, den = e_cols[k][t]
         dens = f_dens[i]
-        scale = lcm(*(dens[z] for z in col[::2]))
-        acc = image(f_cols[i], flat({z: a * (scale // dens[z]) for z, a in pairs(col)}))
+        scale = lcm(*(dens[z] for z in col))
+        acc = image(f_cols[i], {z: a * (scale // dens[z]) for z, a in col.items()})
         den *= scale
         if k == i:
             acc[t] = acc.get(t, 0) + weights[t][k] * den
         g = gcd(den, *acc.values())
-        return flat({r: c // g for r, c in acc.items() if c}), den // g
+        return {r: c // g for r, c in acc.items() if c}, den // g
 
     index: dict[tuple[int, int], int] = {}  # word (i, t) -> its index in the basis
     level = [0]  # the basis indices of the last level, in the order taken
@@ -426,7 +424,7 @@ def highest_weight_module(
         for wt in sorted(candidates):
             chosen: list[tuple[int, int]] = []
             rows: list[list[int]] = []  # the Gram matrix of chosen
-            ecols: list[list[tuple[tuple, int]]] = []  # the e_k columns of chosen
+            ecols: list[list[tuple[dict, int]]] = []  # the e_k columns of chosen
             det = 1  # Gram determinant of chosen
             adj: list[list[int]] = []  # det times the inverse Gram matrix of chosen
             for cand in candidates[wt]:
@@ -465,7 +463,7 @@ def highest_weight_module(
         for t in range(len(f_dens[0]), start):  # the words one level up
             for i in range(rank):
                 col, den = coords[i, t]
-                f_cols[i].append(flat({index[x]: c for x, c in col.items()}))
+                f_cols[i].append({index[x]: c for x, c in col.items()})
                 f_dens[i].append(den)
         level = [index[w] for w in taken]
         if len(weights) > expected_dim:  # wrong pairings need not end the loop
@@ -478,8 +476,8 @@ def highest_weight_module(
         )
     action: dict[Label, SparseMatrix] = {}
     for i in range(rank):
-        h = [(j, wt[i]) if wt[i] else () for j, wt in enumerate(weights)]
-        action[("h", i)] = SparseMatrix(dim, h)
+        h = [{j: wt[i]} if wt[i] else {} for j, wt in enumerate(weights)]
+        action[("h", i)] = SparseMatrix._of(dim, h)
         action[("e", datum.simple_roots[i])] = _operator(dim, e_cols[i])
         action[("f", datum.simple_roots[i])] = _operator(dim, list(zip(f_cols[i], f_dens[i])))
 
@@ -512,12 +510,12 @@ def _commutator(x: SparseMatrix, y: SparseMatrix, n: int) -> SparseMatrix:
     g, cols = den, []
     for xj, yj in zip(xc, yc):
         acc: dict[int, int] = {}
-        for k, a in pairs(yj):
-            for i, v in pairs(xc[k]):
+        for k, a in yj.items():
+            for i, v in xc[k].items():
                 acc[i] = acc.get(i, 0) + a * v
         acc = {i: v for i, v in acc.items() if v}
-        for k, a in pairs(xj):
-            for i, v in pairs(yc[k]):
+        for k, a in xj.items():
+            for i, v in yc[k].items():
                 acc[i] = acc.get(i, 0) - a * v
         col = {i: v for i, v in acc.items() if v}
         if g != 1:
@@ -525,7 +523,7 @@ def _commutator(x: SparseMatrix, y: SparseMatrix, n: int) -> SparseMatrix:
         cols.append(col)
     if g != 1 or sign != 1:
         cols = [{i: v * sign // g for i, v in col.items()} for col in cols]
-    return SparseMatrix._of(x.rows, list(map(flat, cols)), den // g)
+    return SparseMatrix._of(x.rows, cols, den // g)
 
 
 def casimir_matrix(
@@ -561,13 +559,11 @@ def casimir_matrix(
     for c, a, b in terms:
         m = c.numerator * (den // (c.denominator * a.den * b.den))
         for col, bcol in zip(acc, b.columns):  # col += m * a @ bcol
-            for k, v in pairs(bcol):
+            for k, v in bcol.items():
                 v *= m
-                for r, x in pairs(a.columns[k]):
+                for r, x in a.columns[k].items():
                     col[r] = col.get(r, 0) + v * x
-    return SparseMatrix(
-        mod.dimension, [flat({r: v for r, v in col.items() if v}) for col in acc], den
-    )
+    return SparseMatrix(mod.dimension, [{r: v for r, v in col.items() if v} for col in acc], den)
 
 
 def casimir_eigenvalue(
@@ -576,9 +572,9 @@ def casimir_eigenvalue(
     """Scalar by which the Casimir of the chosen form acts; raises if the
     Casimir matrix is not an exact scalar multiple of the identity."""
     C = casimir_matrix(alg, mod, form_choice)
-    num = dict(pairs(C.columns[0])).get(0, 0) if mod.dimension else 0
+    num = C.columns[0].get(0, 0) if mod.dimension else 0
     for j, col in enumerate(C.columns):
-        if dict(pairs(col)) != ({j: num} if num else {}):
+        if col != ({j: num} if num else {}):
             raise InvariantError("Casimir matrix is not scalar")
     scalar = Fraction(num, C.den)
     G = alg.weight_form_gram(form_choice)

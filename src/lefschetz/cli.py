@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return int(e.code or 0) and EXIT_BAD_INPUT
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvariantError as e:

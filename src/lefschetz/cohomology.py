@@ -2,8 +2,8 @@
 
 Cochains C^q = V ⊗ ∧^q n* and chains C_p = V ⊗ ∧^p n come from one Koszul
 builder as sparse integer blocks per h-weight, which the maps preserve; each
-term of a map has its own pair of labels, so the columns are assembled by
-appending.  d² = 0 is checked once per complex, on every entry, by applying
+term of a map has its own pair of labels, so each entry of a column is set
+once.  d² = 0 is checked once per complex, on every entry, by applying
 each map to the columns of the one before.  Each block is ranked once, by
 fraction-free elimination, for both degrees it joins; where d² = 0 holds,
 im d ⊆ ker d bounds the rank, and the elimination stops there.  An independent
@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import _integral, alternating_exterior_sum, image, pairs
+from .exact import _integral, alternating_exterior_sum, image
 from .roots import RootDatum
 
 
@@ -90,10 +90,11 @@ LEVI_DIMENSION_BOUND = 1 << 20
 # The Chevalley-Eilenberg complex
 
 # Largest complex built, in cochains dim V * 2^|n|; the build keeps about
-# 0.4 KiB per cochain, so this bounds it near 100 MB.  Measured as the
-# tracemalloc peak of `build_ce_complex` (Python 3.11) on the 4096-cochain
-# Borel complexes, the largest in the tests: 0.40 KiB per cochain for D4 with
-# the trivial module, 0.25 for B3 (0,0,1) and 0.24 for A3 (1,1,1).
+# 0.75 KiB per cochain, so this bounds it near 190 MB.  Measured as the
+# tracemalloc peak of `build_ce_complex` (Python 3.11), per cochain: 0.74 KiB
+# for B3 (1,1,1), which has exactly this many cochains, and on the
+# 4096-cochain Borel complexes, the largest in the tests, 0.51 KiB for D4 with
+# the trivial module, 0.35 for B3 (0,0,1) and 0.35 for A3 (1,1,1).
 MAX_COCHAINS = 1 << 18
 
 
@@ -107,16 +108,16 @@ class CEComplex:
     maps have the terms (-1)^pos(k, big) e_k for big = small ∪ {k}, and
     (-1)^(pos(g, small) + pos(a, big) + pos(b, big)) N, negated for chains,
     for small = R ∪ {g}, big = R ∪ {a, b} and [e_a, e_b] = N e_g.  Each term
-    has its own (source label, target label) pair, so the columns are
-    assembled by appending, and the maps preserve the weight because every
+    has its own (source label, target label) pair, so each column entry is
+    set once per label pair, and the maps preserve the weight because every
     e_k does: wt_j' = wt_j + α_k is checked once per entry of e_k.
 
     `differentials[q]` maps degree q to degree q + step.  Its blocks are the
-    map times `scale`, the lcm of the e_k's denominators `den`: integral, with
-    distinct rows per column and `den` 1, and with the ranks and zero
-    composites of the map itself.  `verify_complex` checks d² = 0 once and
-    keeps the verdict, which `cohomology_table` uses to bound the ranks; the
-    bound assumes the blocks have not changed since that check.
+    map times `scale`, the lcm of the e_k's denominators `den`: integral,
+    with `den` 1, and with the ranks and zero composites of the map itself.
+    `verify_complex` checks d² = 0 once and keeps the verdict, which
+    `cohomology_table` uses to bound the ranks; the bound assumes the blocks
+    have not changed since that check.
     """
 
     step = 1
@@ -136,15 +137,15 @@ class CEComplex:
         # bases[q]: weight -> list of (module index, sorted tuple of root indices)
         self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
         # label key mask * dim + j (mask: the subset as bits) -> its position
-        # in its weight block, and the list its column is appended to
+        # in its weight block, and the row -> entry dict of its column
         position = [0] * (dim << top)
-        column: list[list] = [None] * (dim << top)
-        columns: list[dict[Weight, list[list]]] = []  # per degree, per weight
+        column: list[dict] = [None] * (dim << top)
+        columns: list[dict[Weight, list[dict]]] = []  # per degree, per weight
         factor = [_neg(r) if self.step > 0 else r for r in self.n_roots]
         shifts = {0: (0,) * len(mod.highest_weight)}  # mask -> weight of its factors
         for q in range(top + 1):
             blocks: dict[Weight, list] = {}
-            cols: dict[Weight, list[list]] = {}
+            cols: dict[Weight, list[dict]] = {}
             prev, shifts = shifts, {}  # the masks of degrees q - 1 and q
             masks = map(sum, combinations([1 << k for k in range(top)], q))
             for subset, mask in zip(combinations(range(top), q), masks):
@@ -158,24 +159,24 @@ class CEComplex:
                     labels = blocks.setdefault(wt, [])
                     position[key + j] = len(labels)
                     labels.append((j, subset))
-                    column[key + j] = col = []
+                    column[key + j] = col = {}
                     cols.setdefault(wt, []).append(col)
             self.bases.append(blocks)
             columns.append(cols)
         self.scale = self._assemble(position, column)
-        del position, column  # each column list is now held by its block alone
+        del position, column  # each column dict is now held by its block alone
         self.differentials: list[dict[Weight, SparseMatrix]] = []
         for q, cols in enumerate(columns):
             target = self.bases[q + self.step] if 0 <= q + self.step <= top else {}
             maps: dict[Weight, SparseMatrix] = {}
             for wt, c in cols.items() if target else ():
-                c[:] = map(tuple, c)  # flat tuples in place of the lists
                 maps[wt] = SparseMatrix._of(len(target.get(wt, ())), c)
             self.differentials.append(maps)
 
     def _assemble(self, position, column) -> int:
-        """Append every term of the map to the column of its source label,
-        as (row, entry) with the entries times the returned scale."""
+        """Set every term of the map in the column of its source label, once
+        per label pair, as row -> entry with the entries times the returned
+        scale."""
         mod, top, step = self.module, self.top, self.step
         dim, weights = mod.dimension, mod.basis_weights
         actions = [mod.action[("e", r)] for r in self.n_roots]
@@ -185,7 +186,7 @@ class CEComplex:
             terms = [
                 (j, jp, c * (scale // e.den))
                 for j, col in enumerate(e.columns)
-                for jp, c in pairs(col)
+                for jp, c in col.items()
             ]
             if not terms:
                 continue
@@ -201,9 +202,7 @@ class CEComplex:
                 src, dst = (small * dim, big * dim) if step > 0 else (big * dim, small * dim)
                 # the sign (-1)^pos(k, big): the roots of small before k
                 for j, jp, c in negated if (small & (bit - 1)).bit_count() & 1 else terms:
-                    col = column[src + j]
-                    col.append(position[dst + jp])
-                    col.append(c)
+                    column[src + j][position[dst + jp]] = c
         # [e_a, e_b] = N e_g with a < b: the subsets R ∪ {g} and R ∪ {a, b}
         # for every R that avoids a, b and g
         sc = self.split.algebra.constants
@@ -226,8 +225,7 @@ class CEComplex:
                 c = signed[(rest & before).bit_count() & 1]
                 src, dst = (small * dim, big * dim) if step > 0 else (big * dim, small * dim)
                 for col, row in zip(column[src : src + dim], position[dst : dst + dim]):
-                    col.append(row)
-                    col.append(c)
+                    col[row] = c
                 if not rest:
                     break
                 rest = (rest - 1) & others

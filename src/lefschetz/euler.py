@@ -128,7 +128,7 @@ def comb_identity_check(r: int, p: int) -> bool:
 
 def harish_chandra_constant(inp: HarishChandraInput) -> SymbolicScalar:
     """c = (-1)^{#noncompact} (2*pi)^{#pos roots} 2^{nu/2} (v(T)/v(K)) |W|."""
-    if float(inp.volume_ratio) <= 0:
+    if inp.volume_ratio <= 0:
         raise ValueError("volume ratio must be positive")
     sign = (-1) ** inp.n_noncompact_pos_roots
     factor = inp.volume_ratio * inp.weyl_order
@@ -140,17 +140,17 @@ def chi_gen(
 ) -> dict:
     """Generic Euler number c^{-1} |W_C| prod(rho, alpha) vol, and optionally
     its quotient by an A-covolume."""
-    if float(covolume) <= 0:
+    if covolume <= 0:
         raise ValueError("covolume must be positive")
     c = harish_chandra_constant(inp)
-    if float(inp.rho_product) == 0 or float(c.factor) == 0:
+    if inp.rho_product == 0 or c.factor == 0:
         raise ValueError("degenerate constant")
     value = c.inverse().scaled(
         inp.weyl_order_complex * inp.rho_product * covolume
     )
     out = {"chi_gen": value}
     if a_covolume is not None:
-        if float(a_covolume) <= 0:
+        if a_covolume <= 0:
             raise ValueError("A-covolume must be positive")
         out["chi_r"] = value.scaled(
             Fraction(1) / a_covolume

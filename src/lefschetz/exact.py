@@ -6,19 +6,19 @@ weight lattice (`spin` keeps its half-integral weights on the doubled one).
 The `LaurentCharacter` constructor is the one validating boundary (integral
 points of length `rank`, integral multiplicities); ring operations on valid
 characters build their results directly.  Dense matrices (`ExactMatrix`) hold
-Fractions; sparse ones (`SparseMatrix`) hold integer columns over one positive
-denominator, so their images (`image`) and ranks run in integers.  Both are
-ranked by one fraction-free elimination, `echelon`, on sparse rows cleared of
-denominators; no tolerance, modulus or random choice enters.
+Fractions; sparse ones (`SparseMatrix`) hold integer columns, each a row ->
+entry dict, over one positive denominator, so their images (`image`) and ranks
+run in integers.  Both are ranked by one fraction-free elimination, `echelon`,
+on sparse rows cleared of denominators; no tolerance, modulus or random choice
+enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import add, itemgetter, neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -234,8 +234,7 @@ class ExactMatrix:
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "ExactMatrix":
         r = len(rows_data)
         c = len(rows_data[0]) if r else 0
-        flat = [x for row in rows_data for x in row]
-        return cls(r, c, flat)
+        return cls(r, c, [x for row in rows_data for x in row])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -295,27 +294,25 @@ class ExactMatrix:
 
 
 class SparseMatrix:
-    """Exact sparse matrix `columns / den`: `columns[j]` is the flat tuple
-    (row, entry, row, entry, ...) of the nonzero integer entries of column j,
-    and `den` is one positive integer prime to all of them, so that equal
-    matrices are stored alike.  The constructor clears any Fraction entries it
-    is given into `den` and divides out the common factor; flat tuples keep
-    thousands of short columns small."""
+    """Exact sparse matrix `columns / den`: `columns[j]` maps each row of a
+    nonzero entry of column j to that integer entry, and `den` is one
+    positive integer prime to all of them, so that equal matrices are stored
+    alike.  The constructor clears any Fraction entries it is given into
+    `den` and divides out the common factor."""
 
     __slots__ = ("rows", "cols", "columns", "den")
 
-    def __init__(self, rows: int, columns: list[tuple], den: int = 1):
+    def __init__(self, rows: int, columns: list[dict[int, int]], den: int = 1):
         if type(den) is not int or den < 1:
             raise ValueError(f"denominator must be a positive int, not {den!r}")
         # a sum of ints is an int, and one Fraction entry makes it a Fraction
-        if type(sum(map(sum, map(_entries, columns)))) is not int:
-            entries = chain.from_iterable(map(_entries, columns))
-            clear = lcm(*(Fraction(v).denominator for v in entries))
-            columns = [flat({i: int(v * clear) for i, v in pairs(col)}) for col in columns]
+        if type(sum(sum(col.values()) for col in columns)) is not int:
+            clear = lcm(*(Fraction(v).denominator for col in columns for v in col.values()))
+            columns = [{i: int(v * clear) for i, v in col.items()} for col in columns]
             den *= clear
-        g = gcd(den, *chain.from_iterable(map(_entries, columns))) if den != 1 else 1
+        g = gcd(den, *(v for col in columns for v in col.values())) if den != 1 else 1
         if g != 1:
-            columns = [flat({i: v // g for i, v in pairs(col)}) for col in columns]
+            columns = [{i: v // g for i, v in col.items()} for col in columns]
             den //= g
         self.rows = rows
         self.cols = len(columns)
@@ -323,10 +320,10 @@ class SparseMatrix:
         self.den = den
 
     @classmethod
-    def _of(cls, rows: int, columns: list[tuple], den: int = 1) -> "SparseMatrix":
-        """The matrix of integer flat `columns` over `den`, each column with
-        distinct rows and nonzero int entries, `den` positive and prime to
-        them all: no scan, no checks."""
+    def _of(cls, rows: int, columns: list[dict[int, int]], den: int = 1) -> "SparseMatrix":
+        """The matrix of the integer `columns` over `den`, each column a row ->
+        nonzero int entry dict, `den` positive and prime to them all: no
+        scan, no checks."""
         m = object.__new__(cls)
         m.rows, m.cols, m.columns, m.den = rows, len(columns), columns, den
         return m
@@ -334,14 +331,12 @@ class SparseMatrix:
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.den) == (other.rows, other.cols, other.den) and all(
-            dict(pairs(a)) == dict(pairs(b)) for a, b in zip(self.columns, other.columns)
-        )
+        return (self.rows, self.den, self.columns) == (other.rows, other.den, other.columns)
 
     def dense(self) -> ExactMatrix:
         out = ExactMatrix(self.rows, self.cols)
         for j, col in enumerate(self.columns):
-            for i, v in pairs(col):
+            for i, v in col.items():
                 out[i, j] = Fraction(v, self.den)
         return out
 
@@ -350,42 +345,31 @@ class SparseMatrix:
         eliminated as sparse rows, last column first (on the Koszul blocks
         this halves the time of first column first).  With `stop`, a bound
         the caller has proved, it ends at `stop` pivots (none for 0)."""
-        return len(echelon((pairs(col) for col in reversed(self.columns)), stop))
+        return len(echelon(reversed(self.columns), stop))
 
 
-_entries = itemgetter(slice(1, None, 2))  # the entries of a flat column
-
-
-def pairs(column: tuple) -> Iterable[tuple[int, Fraction | int]]:
-    """The (row, entry) pairs of a flat column tuple."""
-    it = iter(column)
-    return zip(it, it)
-
-
-def flat(entries: Mapping[int, Fraction | int]) -> tuple:
-    """The flat column tuple of a row -> nonzero entry mapping."""
-    return tuple(chain.from_iterable(entries.items()))
-
-
-def image(columns: Sequence[tuple], column: tuple) -> dict[int, Fraction | int]:
-    """Row -> nonzero entry of the matrix with these flat columns applied to
-    one flat column."""
+def image(
+    columns: Sequence[Mapping[int, int]], column: Mapping[int, Fraction | int]
+) -> dict[int, Fraction | int]:
+    """Row -> nonzero entry of the matrix with these columns applied to one
+    column, each a row -> entry mapping."""
     acc: dict[int, Fraction | int] = {}
-    for k, a in pairs(column):
-        for i, b in pairs(columns[k]):
+    for k, a in column.items():
+        for i, b in columns[k].items():
             acc[i] = acc.get(i, 0) + a * b
     return {i: v for i, v in acc.items() if v}
 
 
 def echelon(
-    rows: Iterable[Iterable[tuple[int, Fraction | int]]], stop: int | None = None
+    rows: Iterable[Mapping[int, Fraction | int]], stop: int | None = None
 ) -> dict[int, dict[int, int]]:
-    """Fraction-free echelon form of sparse rational rows given as (column,
-    nonzero entry) pairs: each row is cleared of denominators, reduced over
-    the integers against the pivot rows until its leading (smallest) column
-    is new, and divided by its content.  Maps each pivot column to its row;
-    the number of pivots is the rank.  With `stop`, no further row is read
-    once there are `stop` pivots: the rank is then min(rank, stop)."""
+    """Fraction-free echelon form of sparse rational rows, each a column ->
+    nonzero entry mapping (read, not changed): each row is cleared of
+    denominators, reduced over the integers against the pivot rows until its
+    leading (smallest) column is new, and divided by its content.  Maps each
+    pivot column to its row; the number of pivots is the rank.  With `stop`,
+    no further row is read once there are `stop` pivots: the rank is then
+    min(rank, stop)."""
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
         if len(pivots) == stop:
@@ -431,7 +415,7 @@ def rank_and_kernel(
     if col_order is None:
         col_order = list(range(n_cols))
     pivots = echelon(
-        [(p, m[i, j]) for p, j in enumerate(col_order) if m[i, j]] for i in range(m.rows)
+        {p: m[i, j] for p, j in enumerate(col_order) if m[i, j]} for i in range(m.rows)
     )
     order = sorted(pivots, reverse=True)
     kernel: list[list[Fraction]] = []

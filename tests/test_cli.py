@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -195,6 +196,43 @@ class TestPlainCommands:
         assert code == EXIT_OK
         assert set(obj) == {"chi_gen", "chi_r"}
 
+    @pytest.mark.parametrize(
+        "data, argv, factor",
+        [
+            ({}, ["--covolume", "1e-400"], Fraction(3, 10**400)),
+            ({"rho_product": "1e-400"}, ["--covolume", "2"], Fraction(4, 10**400)),
+        ],
+        ids=["covolume", "rho_product"],
+    )
+    def test_chi_gen_takes_positive_values_below_the_float_range(
+        self, capsys, tmp_path, data, argv, factor
+    ):
+        """A positive exact value that a float rounds to 0 is still positive,
+        and the factor of c^-1 |W_C| prod(rho, alpha) vol is exact."""
+        path = tmp_path / "hc.json"
+        path.write_text(json.dumps({**HC_INPUT, **data}))
+        code, obj = run(capsys, "chi-gen", "--input", str(path), *argv)
+        assert code == EXIT_OK and obj["chi_gen"]["factor"] == str(factor)
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            ({"volume_ratio": "1e-400"}, ["--covolume", "2"]),
+            ({}, ["--covolume", "2", "--a-covolume", "1e-400"]),
+        ],
+        ids=["volume_ratio", "a-covolume"],
+    )
+    def test_chi_gen_tiny_divisor_is_positive(self, capsys, tmp_path, data, argv):
+        """A positive divisor that a float rounds to 0 passes the sign check;
+        the quotient is then beyond the float range of `float_value`, and
+        that exits 2 with an error line."""
+        path = tmp_path / "hc.json"
+        path.write_text(json.dumps({**HC_INPUT, **data}))
+        code = main(["chi-gen", "--input", str(path), *argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_INPUT and err.startswith("error:")
+        assert "positive" not in err and "Traceback" not in err
+
     def test_geometric(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
         ledger.write_text(
@@ -268,6 +306,7 @@ RECORD = {
 }
 LAMBDA_1_0 = {"lambda": ["1/0"], "m": 1}
 LAMBDA_M2 = {"lambda": ["-2"], "m": 1}
+LAMBDA_1E400 = {"lambda": ["1e400"], "m": 1}
 M_1_7 = {"lambda": ["-2"], "m": 1.7}
 PIECE = {"coefficient": 1.0, "mu": ["0"], "box": [[1.0, 2.0]]}
 HC_INPUT = {
@@ -380,6 +419,10 @@ class TestErrorPaths:
             ("geometric", {"ledger": {"classes": [{**RECORD, "covolume": math.inf}]}}),
             ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": math.inf}]}}),
             ("balance", {"testfn": {"pieces": [{**PIECE, "coefficient": math.nan}]}}),
+            ("chi-gen", {"--covolume": "1e400"}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": "1e400"}]}}),
+            ("balance", {"spectral": {"entries": [{"table": [LAMBDA_1E400], "multiplicity": 1}]}}),
+            ("balance", {"testfn": {"pieces": [{**PIECE, "mu": ["1000"]}]}}),
         ],
         ids=[
             "ledger-list",
@@ -403,6 +446,10 @@ class TestErrorPaths:
             "covolume-Infinity",
             "chi_r-Infinity",
             "coefficient-NaN",
+            "covolume-1e400",
+            "chi_r-1e400",
+            "lambda-1e400",
+            "mu-1000",
         ],
     )
     def test_malformed_input_is_bad_input(self, capsys, tmp_path, command, override):

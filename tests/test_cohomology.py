@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,8 +35,6 @@ from lefschetz.exact import (
     LaurentCharacter,
     SparseMatrix,
     echelon,
-    flat,
-    pairs,
     rank_and_kernel,
 )
 from lefschetz.roots import RootDatum, build_root_system
@@ -446,7 +445,7 @@ def test_euler_character_is_the_alternating_fold(table):
 def dense(block):
     mat = ExactMatrix(block.rows, block.cols)
     for j, col in enumerate(block.columns):
-        for i, v in pairs(col):
+        for i, v in col.items():
             mat[i, j] = v
     return mat
 
@@ -503,7 +502,7 @@ def _split_and_module(label, levi, lam):
 def unbounded_table(cx):
     """The table with every block ranked in full, first column first."""
     ranks = [
-        {wt: len(echelon(pairs(col) for col in d.columns)) for wt, d in blocks.items()}
+        {wt: len(echelon(d.columns)) for wt, d in blocks.items()}
         for blocks in cx.differentials
     ]
     degrees = []
@@ -515,11 +514,26 @@ def unbounded_table(cx):
     return degrees
 
 
+def koszul_terms(cx):
+    """The number of terms of the Koszul map: 2^(|n|-1) per entry of an e_k,
+    and dim V * 2^(|n|-3) per pair a < b of n with [e_a, e_b] = N e_g, N != 0
+    and g in n.  Each term has its own (source, target) label pair."""
+    roots, top = cx.n_roots, cx.top
+    entries = sum(len(col) for r in roots for col in cx.module.action[("e", r)].columns)
+    n = cx.split.algebra.constants.n
+    brackets = sum(
+        tuple(map(sum, zip(a, b))) in roots and n(a, b) != 0
+        for a, b in itertools.combinations(roots, 2)
+    )
+    return (entries << top >> 1) + (brackets * cx.module.dimension << top >> 3)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("case", CE_CASES, ids=_case_id)
 def test_ce_blocks_in_normal_form_and_table_matches_unbounded_ranks(case, kind):
-    """Every block: one column per source label, distinct rows inside the
-    target block, nonzero int entries over den 1; and the table, whose
+    """Every block: one column per source label, rows inside the target
+    block, nonzero int entries over den 1, and as many entries in all as the
+    map has terms, so that no two terms share an entry; and the table, whose
     ranks stop at the d² = 0 bound, equals the table of full ranks."""
     cx = KINDS[kind](*_split_and_module(*case))
     for q, blocks in enumerate(cx.differentials):
@@ -529,18 +543,18 @@ def test_ce_blocks_in_normal_form_and_table_matches_unbounded_ranks(case, kind):
             assert type(d.den) is int and d.den == 1
             assert (d.rows, d.cols) == (len(target.get(wt, ())), len(cx.bases[q][wt]))
             for col in d.columns:
-                rows = col[::2]
-                assert len(set(rows)) == len(rows) and all(0 <= i < d.rows for i in rows)
-                assert all(type(v) is int and v for v in col[1::2])
+                assert all(0 <= i < d.rows for i in col)
+                assert all(type(v) is int and v for v in col.values())
+    maps = [d for blocks in cx.differentials for d in blocks.values()]
+    assert sum(len(col) for d in maps for col in d.columns) == koszul_terms(cx)
     assert cx.verify_complex()
     assert cohomology_table(cx).degrees == unbounded_table(cx)
 
 
 def _set_entry(block, col, row):
     """Double the entry (row, col) of a block, or make it 1 if it is zero."""
-    entries = dict(pairs(block.columns[col]))
-    entries[row] = 2 * entries[row] if row in entries else 1
-    block.columns[col] = flat(entries)
+    entries = block.columns[col]
+    block.columns[col] = {**entries, row: 2 * entries[row] if row in entries else 1}
 
 
 def _corrupt_one_entry(cx):
@@ -559,7 +573,7 @@ def _corrupt_one_entry(cx):
             hit = next((r for r, col in enumerate(d1.columns) if col), None)
             if hit is not None and d0.cols:
                 return _set_entry(d0, 0, hit)
-            hit = next((col[0] for col in d0.columns if col), None)
+            hit = next((next(iter(col)) for col in d0.columns if col), None)
             if hit is not None and d1.rows:
                 return _set_entry(d1, hit, 0)
     raise AssertionError("no entry of this complex enters a composite")
@@ -619,16 +633,31 @@ def test_e_k_entry_at_a_wrong_weight_is_refused(case, kind):
         j = next((j for j, col in enumerate(e.columns) if col), None)
         if j is not None:
             break
-    (row, value), *rest = pairs(e.columns[j])
-    taken = e.columns[j][::2]
-    wrong = next(i for i, w in enumerate(weights) if w != weights[row] and i not in taken)
+    col = e.columns[j]
+    (row, value), *rest = col.items()
+    wrong = next(i for i, w in enumerate(weights) if w != weights[row] and i not in col)
     columns = list(e.columns)
-    columns[j] = flat({wrong: value, **dict(rest)})
+    columns[j] = {wrong: value, **dict(rest)}
     action = dict(mod.action)
     action[("e", r)] = SparseMatrix(e.rows, columns, e.den)
     bad = dataclasses.replace(mod, action=action)
     with pytest.raises(InvariantError, match="the map does not preserve the weight"):
         KINDS[kind](split, bad)
+
+
+def test_ce_build_memory_stays_under_the_max_cochains_figure():
+    """The tracemalloc peak of `build_ce_complex` on the D4 Borel complex with
+    the trivial module, 4096 cochains, stays under the 0.75 KiB per cochain
+    by which the comment at MAX_COCHAINS bounds the largest build."""
+    split, mod = _split_and_module("D4", (), (0, 0, 0, 0))
+    assert mod.dimension << len(split.n_roots) == 4096
+    tracemalloc.start()
+    try:
+        build_ce_complex(split, mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 1024 * 4096
 
 
 def test_homology_invariant_survives_optimize_flag():
