@@ -9,7 +9,8 @@ fraction-free elimination, for both degrees it joins; where d² = 0 holds,
 im d ⊆ ker d bounds the rank, and the elimination stops there.  An independent
 prediction of the cohomology (minimal coset representatives acting on the
 shifted highest weight, with Levi weight multiplicities from Freudenthal's
-recursion) serves as an oracle; homology feeds the duality check.
+recursion, one Freudenthal run per distinct Levi part) serves as an oracle;
+homology feeds the duality check.
 """
 
 from __future__ import annotations
@@ -361,22 +362,39 @@ def kostant_prediction(
     """Predicted cohomology (Kostant): in degree q, the Levi modules whose
     highest weights are the degree-q `kostant_weights`.  The running sum of
     the Levi dimensions is checked against LEVI_DIMENSION_BOUND at each level
-    of the walk, before any module is computed."""
+    of the walk, before any module is computed.
+
+    The weights of the Levi module F_mu are mu minus sums of Levi simple
+    roots, and their multiplicities, like its Weyl dimension, read only the
+    Levi part (mu_i for i in the Levi) of mu.  So there is one Freudenthal run
+    per distinct Levi part, whose weights, less its highest weight, are
+    shifted onto each mu with that part."""
     levi = sorted(split.levi)
     form = datum.levi_form(levi)
+    dims: dict[Weight, int] = {}  # Levi part -> Weyl dimension
     levels, work = [], 0
     for level in kostant_weights(datum, split, lam):
         levels.append(level)
-        work += sum(datum.weyl_dimension(mu, levi, form) for mu in level)
+        for mu in level:
+            part = tuple(mu[i] for i in levi)
+            if part not in dims:
+                dims[part] = datum.weyl_dimension(mu, levi, form)
+            work += dims[part]
         if work > LEVI_DIMENSION_BOUND:
             raise ValueError(
                 f"the Levi modules have dimension at least {work} in all, more than "
                 f"the limit LEVI_DIMENSION_BOUND = {LEVI_DIMENSION_BOUND}"
             )
+    offsets: dict[Weight, list[tuple[Weight, int]]] = {}  # Levi part -> [(wt - mu, m)]
     degrees: list[dict[Weight, int]] = [{} for _ in range(len(split.n_roots) + 1)]
     for table, level in zip(degrees, levels):
         for mu in level:
-            for wt, m in weight_multiplicities(datum, mu, levi, form).items():
+            part = tuple(mu[i] for i in levi)
+            if part not in offsets:
+                mults = weight_multiplicities(datum, mu, levi, form)
+                offsets[part] = [(_sub(wt, mu), m) for wt, m in mults.items()]
+            for off, m in offsets[part]:
+                wt = _add(mu, off)
                 table[wt] = table.get(wt, 0) + m
     return CohomologyTable(split, degrees)
 

@@ -84,13 +84,19 @@ class SymbolicScalar:
         )
 
     def to_json_obj(self) -> dict:
+        """The exact parts, and `float_value`, which is null where the value
+        lies beyond the float range."""
         f = self.factor
+        try:
+            value = self.float_value()
+        except OverflowError:
+            value = math.inf
         return {
             "sign": self.sign,
             "two_pi_power": self.two_pi_power,
             "sqrt2_power": self.sqrt2_power,
             "factor": str(f) if isinstance(f, Fraction) else f,
-            "float_value": self.float_value(),
+            "float_value": value if math.isfinite(value) else None,
         }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -77,10 +78,10 @@ class LaurentCharacter:
     @classmethod
     def _of(cls, rank: int, terms: dict[Weight, int]) -> "LaurentCharacter":
         """The character of `terms`, already integral points of length `rank`
-        with int multiplicities: no checks, only zero multiplicities dropped."""
+        with nonzero int multiplicities: no checks, no copy."""
         ch = object.__new__(cls)
         object.__setattr__(ch, "rank", rank)
-        object.__setattr__(ch, "terms", {w: m for w, m in terms.items() if m})
+        object.__setattr__(ch, "terms", terms)
         return ch
 
     # -- constructors
@@ -118,7 +119,11 @@ class LaurentCharacter:
         terms = dict(self.terms)
         get = terms.get
         for w, m in other.terms.items():
-            terms[w] = op(get(w, 0), m)
+            m = op(get(w, 0), m)
+            if m:
+                terms[w] = m
+            else:
+                del terms[w]
         return self._of(self.rank, terms)
 
     def __add__(self, other: "LaurentCharacter") -> "LaurentCharacter":
@@ -132,21 +137,30 @@ class LaurentCharacter:
 
     def __mul__(self, other) -> "LaurentCharacter":
         if isinstance(other, int):
-            return self._of(self.rank, {w: m * other for w, m in self.terms.items()})
+            terms = {w: m * other for w, m in self.terms.items()} if other else {}
+            return self._of(self.rank, terms)
         if not isinstance(other, LaurentCharacter):
             return NotImplemented
         self._check_rank(other)
-        small, large = self.terms, other.terms
+        rank, small, large = self.rank, self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
-        large = large.items()
+        zero, mults = (0,) * rank, large.values()
+        # The zero point keeps large's keys.  Any other point u shifts all of
+        # them in C: the flattened coordinates plus u repeated once per key,
+        # cut back into rank-tuples by zipping one iterator `rank` times.
+        flat, repeat = list(chain.from_iterable(large)), len(large)
         terms: dict[Weight, int] = {}
         get = terms.get
         for u, mu in small.items():
-            for v, mv in large:
-                w = tuple(map(add, u, v))
-                terms[w] = get(w, 0) + mu * mv
-        return self._of(self.rank, terms)
+            keys = large if u == zero else zip(*[map(add, flat, u * repeat)] * rank)
+            for w, mv in zip(keys, mults):
+                m = get(w, 0) + mu * mv
+                if m:
+                    terms[w] = m
+                else:
+                    del terms[w]
+        return self._of(rank, terms)
 
     __rmul__ = __mul__
 

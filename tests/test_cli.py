@@ -215,23 +215,24 @@ class TestPlainCommands:
         assert code == EXIT_OK and obj["chi_gen"]["factor"] == str(factor)
 
     @pytest.mark.parametrize(
-        "data, argv",
+        "data, argv, key, factor",
         [
-            ({"volume_ratio": "1e-400"}, ["--covolume", "2"]),
-            ({}, ["--covolume", "2", "--a-covolume", "1e-400"]),
+            ({"volume_ratio": "1e-400"}, ["--covolume", "2"], "chi_gen", 6 * 10**400),
+            ({}, ["--covolume", "2", "--a-covolume", "1e-400"], "chi_r", 6 * 10**400),
+            ({}, ["--covolume", "1e400"], "chi_gen", 3 * 10**400),
         ],
-        ids=["volume_ratio", "a-covolume"],
+        ids=["volume_ratio", "a-covolume", "covolume-1e400"],
     )
-    def test_chi_gen_tiny_divisor_is_positive(self, capsys, tmp_path, data, argv):
-        """A positive divisor that a float rounds to 0 passes the sign check;
-        the quotient is then beyond the float range of `float_value`, and
-        that exits 2 with an error line."""
+    def test_chi_gen_tiny_divisor_is_positive(self, capsys, tmp_path, data, argv, key, factor):
+        """A positive divisor that a float rounds to 0 passes the sign check,
+        and so does a covolume above the float range; the value is then
+        beyond the float range, so it is printed by its exact factor with a
+        null `float_value`."""
         path = tmp_path / "hc.json"
         path.write_text(json.dumps({**HC_INPUT, **data}))
-        code = main(["chi-gen", "--input", str(path), *argv])
-        err = capsys.readouterr().err
-        assert code == EXIT_BAD_INPUT and err.startswith("error:")
-        assert "positive" not in err and "Traceback" not in err
+        code, obj = run(capsys, "chi-gen", "--input", str(path), *argv)
+        assert code == EXIT_OK
+        assert obj[key]["factor"] == str(factor) and obj[key]["float_value"] is None
 
     def test_geometric(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
@@ -419,7 +420,6 @@ class TestErrorPaths:
             ("geometric", {"ledger": {"classes": [{**RECORD, "covolume": math.inf}]}}),
             ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": math.inf}]}}),
             ("balance", {"testfn": {"pieces": [{**PIECE, "coefficient": math.nan}]}}),
-            ("chi-gen", {"--covolume": "1e400"}),
             ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": "1e400"}]}}),
             ("balance", {"spectral": {"entries": [{"table": [LAMBDA_1E400], "multiplicity": 1}]}}),
             ("balance", {"testfn": {"pieces": [{**PIECE, "mu": ["1000"]}]}}),
@@ -446,7 +446,6 @@ class TestErrorPaths:
             "covolume-Infinity",
             "chi_r-Infinity",
             "coefficient-NaN",
-            "covolume-1e400",
             "chi_r-1e400",
             "lambda-1e400",
             "mu-1000",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -34,6 +35,7 @@ from lefschetz.exact import (
     InvariantError,
     LaurentCharacter,
     SparseMatrix,
+    alternating_exterior_sum,
     echelon,
     rank_and_kernel,
 )
@@ -376,6 +378,72 @@ class TestPredictionOracle:
             datum, split, mod = setup(label, levi, lam)
             table = cohomology_table(build_ce_complex(split, mod))
             assert table == kostant_prediction(datum, split, lam)
+
+
+# (type, Levi, highest weight, cosets, distinct Levi parts of the highest weights)
+LEVI_PART_CASES = (
+    ("B3", (0,), (0, 0, 1), 24, 5),
+    ("A3", (1,), (1, 0, 1), 12, 4),
+    ("B4", (0,), (0, 0, 0, 0), 192, 6),
+    ("B4", (2, 3), (0, 0, 0, 1), 48, 6),
+    ("B3", (), (0, 0, 1), 48, 1),
+)
+
+
+@pytest.mark.parametrize("label, levi, lam, cosets, parts", LEVI_PART_CASES)
+def test_prediction_runs_freudenthal_once_per_levi_part(
+    monkeypatch, label, levi, lam, cosets, parts
+):
+    """The prediction equals the sum of each Kostant weight's own Levi module,
+    with one Freudenthal run per distinct Levi part, fewer than the cosets."""
+    datum = build_root_system(label)
+    split = parabolic_split(build_chevalley_algebra(datum), levi)
+    levels = list(kostant_weights(datum, split, lam))
+    mus = [mu for level in levels for mu in level]
+    degrees = [{} for _ in range(len(split.n_roots) + 1)]
+    for table, level in zip(degrees, levels):
+        for mu in level:
+            for wt, m in weight_multiplicities(datum, mu, levi).items():
+                table[wt] = table.get(wt, 0) + m
+    assert len(mus) == cosets
+    assert len({tuple(mu[i] for i in levi) for mu in mus}) == parts < cosets
+
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return weight_multiplicities(*args)
+
+    monkeypatch.setattr(cohomology, "weight_multiplicities", counted)
+    assert kostant_prediction(datum, split, lam).degrees == degrees
+    assert len(runs) == parts
+
+
+# The benchmark's oracle pool: (type, Levi, highest weight, sha256 of the
+# sorted Kostant table and Euler-product character).
+ORACLE_POOL_DIGESTS = (
+    ("F4", (), (0, 0, 0, 1), "90332f005f2dbed91d78dc6eb138b39431cbeae780c8431baf437707a918cc52"),
+    ("B4", (), (1, 0, 0, 0), "b4f6abc6a20feb97e11349d2dff37ae97ba35c59a1cd75e7c1b3f8e22c99ac47"),
+    ("B4", (0,), (0, 0, 0, 0), "ab70cad9324e1412df939bbd85230c8d43cfb1018acd82a89fe1bd9dce88f8cd"),
+    ("B4", (2, 3), (0, 0, 0, 1), "7f151d6f842dce26e8de313cbe7ed2a21ae44204f3d8104e47d93881a43d43a2"),
+    ("D5", (), (0, 0, 0, 1, 0), "fe7ea0f7ab5858f1fe64b87e3fb4241aecaacda0c86ca6313a6e186562ffc897"),
+)
+
+
+@pytest.mark.parametrize("label, levi, lam, digest", ORACLE_POOL_DIGESTS)
+def test_oracle_pool_outputs_are_pinned(label, levi, lam, digest):
+    """Kostant's table and ch V · Π_{α in n} (1 - x^{-α}), by sorted items so
+    that no dict order enters; the table's Euler character is that product."""
+    datum = build_root_system(label)
+    split = parabolic_split(build_chevalley_algebra(datum), levi)
+    table = kostant_prediction(datum, split, lam)
+    n_dual = LaurentCharacter.from_weights(
+        datum.rank, (tuple(-c for c in r) for r in split.n_roots)
+    )
+    euler = irreducible_character(datum, lam) * alternating_exterior_sum(n_dual)
+    assert table.euler_character() == euler
+    outputs = [sorted(t.items()) for t in table.degrees], sorted(euler.terms.items())
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == digest
 
 
 class TestHomologyAndEuler:

@@ -13,6 +13,7 @@ from lefschetz.euler import (
     BettiVector,
     EllipticClassInput,
     HarishChandraInput,
+    SymbolicScalar,
     bundle_betti_transfer,
     chi_gen,
     chi_r,
@@ -95,6 +96,17 @@ class TestConstants:
     def test_positive_ratio_required(self):
         with pytest.raises(ValueError):
             harish_chandra_constant(HarishChandraInput(0, 0, 0, Fraction(0), 1))
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [SymbolicScalar(1, 0, 0, Fraction(10**400)), SymbolicScalar(-1, 2, 0, Fraction(10**308))],
+        ids=["factor_beyond_float", "product_beyond_float"],
+    )
+    def test_json_float_value_is_null_beyond_the_float_range(self, scalar):
+        """float(10^400) raises, 10^308 (2 pi)^2 rounds to inf: either way the
+        exact factor stands and `float_value` is null."""
+        obj = scalar.to_json_obj()
+        assert obj["factor"] == str(scalar.factor) and obj["float_value"] is None
 
     def test_chi_gen_linearity(self):
         inp = HarishChandraInput(1, 1, 2, Fraction(1), 2, 4, Fraction(3, 2))

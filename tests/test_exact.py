@@ -399,6 +399,66 @@ def test_product_matches_validating_constructor(op, operands, k):
     assert result == expected and hash(result) == hash(expected)
 
 
+@st.composite
+def product_operands(draw):
+    """Two characters of one rank 0-5 with nonzero multiplicities.  Each
+    holds the zero point or not, and their sizes are equal or drawn apart;
+    small coordinates make products cancel."""
+    rank = draw(st.integers(0, 5))
+    zero, points = (0,) * rank, 5**rank
+    nonzero = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    mult = st.integers(-3, 3).filter(bool)
+    size = st.integers(0, min(5, points))
+    sizes = [draw(size)]
+    sizes.append(sizes[0] if draw(st.booleans()) else draw(size))
+
+    def character(size):
+        with_zero = size == points or (size > 0 and draw(st.booleans()))
+        count = size - with_zero
+        terms = draw(st.dictionaries(nonzero, mult, min_size=count, max_size=count))
+        if with_zero:
+            terms[zero] = draw(mult)
+        return LaurentCharacter(rank, terms)
+
+    return tuple(character(n) for n in sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=product_operands(), k=st.integers(-3, 3))
+def test_product_matches_naive_double_loop(operands, k):
+    """The product, in either order and through __rmul__, has the terms of a
+    plain double loop over both operands, and so does a product with an int;
+    no result stores a zero multiplicity."""
+    a, b = operands
+    expected = {w: m for w, m in _convolution(a, b).items() if m}
+    for result in (a * b, b * a, a.__rmul__(b)):
+        assert (result.rank, result.terms) == (a.rank, expected)
+        assert 0 not in result.terms.values()
+    scaled = {w: k * m for w, m in a.terms.items() if k}
+    for result in (a * k, k * a):
+        assert (result.rank, result.terms) == (a.rank, scaled)
+        assert 0 not in result.terms.values()
+
+
+@pytest.mark.parametrize("beta", [(1,), (1, -2), (0, 2, -1), (1, 0, 0, -1), (2, -1, 0, 1, -3)])
+def test_product_cancels_to_one_minus_x_to_the_three_beta(beta):
+    """(1 - x^beta)(1 + x^beta + x^2beta) = 1 - x^3beta: the cancelled points
+    x^beta and x^2beta are not stored."""
+    one = LaurentCharacter.one(len(beta))
+    times = [tuple(j * c for c in beta) for j in range(4)]
+    geometric = LaurentCharacter.from_weights(len(beta), times[:3])
+    for product in (one - mono(beta)) * geometric, geometric * (one - mono(beta)):
+        assert product.terms == {times[0]: 1, times[3]: -1}
+
+
+def test_rank_zero_product():
+    """Rank 0 has the one point (), which takes the zero-point path."""
+    a, b = LaurentCharacter(0, {(): 3}), LaurentCharacter(0, {(): -2})
+    assert (a * b).terms == {(): -6}
+    assert (a * LaurentCharacter.zero(0)).terms == {}
+    assert (2 * a).terms == {(): 6}
+
+
 class TestCharacterProductProperties:
     """Ring laws of characters."""
 
