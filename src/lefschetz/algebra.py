@@ -61,6 +61,8 @@ class StructureConstants:
         self.pairing = dict(datum.levi_form(range(datum.rank))[1])
         self.norm = {r: sum(map(mul, p, r)) for r, p in self.pairing.items()}
         self._table: dict[tuple[Weight, Weight], int] = {}
+        # each non-simple positive root -> its extraspecial pair, by height
+        self.special: dict[Weight, tuple[Weight, Weight]] = {}
         self._fill()
 
     @staticmethod
@@ -87,7 +89,7 @@ class StructureConstants:
     def _fill(self):
         datum = self.datum
         for gamma in self.pos:
-            specials = []
+            specials = []  # (xi, gamma - xi), xi the earlier of the two, in index order of xi
             for xi in self.pos:
                 if self.index[xi] >= self.index[gamma]:
                     break
@@ -96,8 +98,7 @@ class StructureConstants:
                     specials.append((xi, eta))
             if not specials:
                 continue
-            specials.sort(key=lambda p: self.index[p[0]])
-            alpha, beta = specials[0]
+            alpha, beta = self.special[gamma] = specials[0]
             self._table[(alpha, beta)] = self._chain_down(alpha, beta) + 1
             for xi, eta in specials[1:]:
                 # Jacobi on (e_alpha, e_beta, e_{-xi}) determines N(gamma, -xi)
@@ -481,19 +482,9 @@ def highest_weight_module(
         action[("e", datum.simple_roots[i])] = _operator(dim, e_cols[i])
         action[("f", datum.simple_roots[i])] = _operator(dim, list(zip(f_cols[i], f_dens[i])))
 
-    # non-simple root vectors via commutators, by height
-    simple_set = set(datum.simple_roots)
+    # non-simple root vectors via commutators of their special pairs, by height
     sc = alg.constants
-    for gamma in datum.positive_roots:
-        if gamma in simple_set:
-            continue
-        # decompose via the minimal special pair
-        for a in datum.positive_roots:
-            b = _sub(gamma, a)
-            if b in sc.index and sc.index[a] < sc.index[b]:
-                break
-        else:
-            raise InvariantError(f"no special pair for the root {gamma}")
+    for gamma, (a, b) in sc.special.items():
         n = sc.n(a, b)
         action[("e", gamma)] = _commutator(action[("e", a)], action[("e", b)], n)
         action[("f", gamma)] = _commutator(action[("f", a)], action[("f", b)], -n)

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import algebra, cohomology, euler, formula, roots, verify
 from .exact import InvariantError, LaurentCharacter
@@ -51,10 +50,23 @@ def _parse_levi(text: str | None) -> set[int]:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError as e:  # json's parser recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from e
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return obj
+
+
+def _check_a_dim(name: str, vectors, split) -> None:
+    """Each vector must have one entry per dimension of the split's a."""
+    for v in vectors:
+        if len(v) != split.a_dim():
+            raise ValueError(
+                f"{name} [{', '.join(map(str, v))}] has {len(v)} entries, "
+                f"but a has dimension {split.a_dim()}"
+            )
 
 
 def _load_ledger(path: str, split) -> list:
@@ -64,12 +76,7 @@ def _load_ledger(path: str, split) -> list:
     if not isinstance(rows, list):
         raise ValueError(f"{path}: \"classes\" must be a list")
     records = [formula.GeodesicClassRecord.from_json_obj(row) for row in rows]
-    for rec in records:
-        if len(rec.a_log) != split.a_dim():
-            raise ValueError(
-                f"a_log {list(rec.a_log)} has {len(rec.a_log)} entries, "
-                f"but a has dimension {split.a_dim()}"
-            )
+    _check_a_dim("a_log", (rec.a_log for rec in records), split)
     return records
 
 
@@ -164,6 +171,8 @@ def cmd_balance(args) -> int:
     spec = formula.SpectralInput.from_json_obj(_load_json(args.spectral))
     ledger = _load_ledger(args.ledger, split)
     phi = formula.TestFunction.from_json_obj(_load_json(args.testfn))
+    _check_a_dim("lambda", (lam for table, _ in spec.entries for lam in table.terms), split)
+    _check_a_dim("mu", (mu for _, mu, _ in phi.pieces), split)  # each box has len(mu)
     g, l, r = formula.balance_evaluator(spec, ledger, phi, split=split)
     _emit(
         {
@@ -188,13 +197,13 @@ def cmd_chi_gen(args) -> int:
             formula.json_int(data["n_noncompact_pos_roots"]),
             formula.json_int(data["n_pos_roots"]),
             formula.json_int(data["nu"]),
-            Fraction(str(data["volume_ratio"])),
+            formula.read_fraction(str(data["volume_ratio"])),
             formula.json_int(data["weyl_order"]),
             formula.json_int(data.get("weyl_order_complex", 0)),
-            Fraction(str(data.get("rho_product", 0))),
+            formula.read_fraction(str(data.get("rho_product", 0))),
         )
-        covolume = Fraction(args.covolume)
-        a_covolume = Fraction(args.a_covolume) if args.a_covolume else None
+        covolume = formula.read_fraction(args.covolume)
+        a_covolume = formula.read_fraction(args.a_covolume) if args.a_covolume else None
     except (TypeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed chi-gen input: {e}") from e
     result = euler.chi_gen(inp, covolume, a_covolume)

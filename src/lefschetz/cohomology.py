@@ -32,18 +32,17 @@ from .roots import RootDatum
 # Weight multiplicities via Freudenthal's recursion (independent oracle)
 
 
-def weight_multiplicities(datum: RootDatum, lam, levi=None, form=None) -> dict[Weight, int]:
+def weight_multiplicities(datum: RootDatum, lam, levi=None) -> dict[Weight, int]:
     """Weight multiplicities of the irreducible module with highest weight lam
     for the (sub)system spanned by the `levi` simple roots (default: all),
-    computed by Freudenthal's recursion in integers.  `form` is
-    `datum.levi_form(levi)`, computed here if not given."""
+    computed by Freudenthal's recursion in integers."""
     levi = sorted(set(range(datum.rank) if levi is None else levi))
     lam = tuple(map(_integral, lam))
     if len(lam) != datum.rank or any(lam[i] < 0 for i in levi):
         raise ValueError(f"{lam} is not a dominant rank-{datum.rank} weight of the subsystem")
     if not levi:
         return {lam: 1}
-    d, pos = form or datum.levi_form(levi)
+    d, pos = datum.levi_form(levi)
     mult: dict[Weight, int] = {lam: 1}
     # mu -> |lam + rho_L|^2 - |mu + rho_L|^2 = (lam - mu, lam + mu + 2 rho_L),
     # which grows by (2 mu + 2 rho_L - alpha_i, alpha_i) = 2 d_i mu_i from mu to mu - alpha_i
@@ -113,7 +112,10 @@ class CEComplex:
     set once per label pair, and the maps preserve the weight because every
     e_k does: wt_j' = wt_j + α_k is checked once per entry of e_k.
 
-    `differentials[q]` maps degree q to degree q + step.  Its blocks are the
+    `bases[q]` maps each weight of degree q to its block's columns, one
+    row -> entry dict per label, in label order; the labels are not kept.
+    `differentials[q]` maps degree q to degree q + step, and its block at a
+    weight holds the same column list as `bases[q]`.  Its blocks are the
     map times `scale`, the lcm of the e_k's denominators `den`: integral,
     with `den` 1, and with the ranks and zero composites of the map itself.
     `verify_complex` checks d² = 0 once and keeps the verdict, which
@@ -135,44 +137,41 @@ class CEComplex:
                 f"the limit MAX_COCHAINS = {MAX_COCHAINS}"
             )
         self._closed: bool | None = None
-        # bases[q]: weight -> list of (module index, sorted tuple of root indices)
-        self.bases: list[dict[Weight, list[tuple[int, tuple[int, ...]]]]] = []
+        # bases[q]: weight -> the columns of its labels (module index j, sorted
+        # q-subset of n-root indices), the list its block of d_q holds
+        self.bases: list[dict[Weight, list[dict]]] = []
         # label key mask * dim + j (mask: the subset as bits) -> its position
         # in its weight block, and the row -> entry dict of its column
         position = [0] * (dim << top)
         column: list[dict] = [None] * (dim << top)
-        columns: list[dict[Weight, list[dict]]] = []  # per degree, per weight
         factor = [_neg(r) if self.step > 0 else r for r in self.n_roots]
         shifts = {0: (0,) * len(mod.highest_weight)}  # mask -> weight of its factors
         for q in range(top + 1):
-            blocks: dict[Weight, list] = {}
-            cols: dict[Weight, list[dict]] = {}
+            blocks: dict[Weight, list[dict]] = {}
             prev, shifts = shifts, {}  # the masks of degrees q - 1 and q
-            masks = map(sum, combinations([1 << k for k in range(top)], q))
-            for subset, mask in zip(combinations(range(top), q), masks):
-                # prev holds the subset without its first (lowest) root
+            for mask in map(sum, combinations([1 << k for k in range(top)], q)):
+                # prev holds the subset without its lowest root
+                low = mask & -mask
                 shift = shifts[mask] = (
-                    _add(prev[mask & (mask - 1)], factor[subset[0]]) if subset else prev[0]
+                    _add(prev[mask ^ low], factor[low.bit_length() - 1]) if mask else prev[0]
                 )
                 key = mask * dim
                 for j, wt in enumerate(mod.basis_weights):
-                    wt = _add(wt, shift)
-                    labels = blocks.setdefault(wt, [])
-                    position[key + j] = len(labels)
-                    labels.append((j, subset))
+                    cols = blocks.setdefault(_add(wt, shift), [])
+                    position[key + j] = len(cols)
                     column[key + j] = col = {}
-                    cols.setdefault(wt, []).append(col)
+                    cols.append(col)
             self.bases.append(blocks)
-            columns.append(cols)
         self.scale = self._assemble(position, column)
         del position, column  # each column dict is now held by its block alone
         self.differentials: list[dict[Weight, SparseMatrix]] = []
-        for q, cols in enumerate(columns):
+        for q, blocks in enumerate(self.bases):
             target = self.bases[q + self.step] if 0 <= q + self.step <= top else {}
-            maps: dict[Weight, SparseMatrix] = {}
-            for wt, c in cols.items() if target else ():
-                maps[wt] = SparseMatrix._of(len(target.get(wt, ())), c)
-            self.differentials.append(maps)
+            self.differentials.append(
+                {wt: SparseMatrix._of(len(target.get(wt, ())), c) for wt, c in blocks.items()}
+                if target
+                else {}
+            )
 
     def _assemble(self, position, column) -> int:
         """Set every term of the map in the column of its source label, once
@@ -246,9 +245,6 @@ class CEComplex:
                 if (d1 := self.differentials[q + self.step].get(wt)) is not None
             )
         return self._closed
-
-    def table(self) -> CohomologyTable:
-        return cohomology_table(self)
 
 
 def build_ce_complex(split: ParabolicSplit, mod: WeightModule) -> CEComplex:
@@ -335,8 +331,8 @@ def cohomology_table(cx: CEComplex) -> CohomologyTable:
             wt: d.rank(min(d.rows, d.cols - into.get(wt, 0)) if closed else None)
             for wt, d in cx.differentials[q].items()
         }
-        for wt, labels in cx.bases[q].items():
-            h = len(labels) - out.get(wt, 0) - into.get(wt, 0)
+        for wt, cols in cx.bases[q].items():
+            h = len(cols) - out.get(wt, 0) - into.get(wt, 0)
             if h:
                 degrees[q][wt] = h
     return CohomologyTable(cx.split, degrees)
@@ -370,7 +366,6 @@ def kostant_prediction(
     per distinct Levi part, whose weights, less its highest weight, are
     shifted onto each mu with that part."""
     levi = sorted(split.levi)
-    form = datum.levi_form(levi)
     dims: dict[Weight, int] = {}  # Levi part -> Weyl dimension
     levels, work = [], 0
     for level in kostant_weights(datum, split, lam):
@@ -378,7 +373,7 @@ def kostant_prediction(
         for mu in level:
             part = tuple(mu[i] for i in levi)
             if part not in dims:
-                dims[part] = datum.weyl_dimension(mu, levi, form)
+                dims[part] = datum.weyl_dimension(mu, levi)
             work += dims[part]
         if work > LEVI_DIMENSION_BOUND:
             raise ValueError(
@@ -391,7 +386,7 @@ def kostant_prediction(
         for mu in level:
             part = tuple(mu[i] for i in levi)
             if part not in offsets:
-                mults = weight_multiplicities(datum, mu, levi, form)
+                mults = weight_multiplicities(datum, mu, levi)
                 offsets[part] = [(_sub(wt, mu), m) for wt, m in mults.items()]
             for off, m in offsets[part]:
                 wt = _add(mu, off)
@@ -418,7 +413,7 @@ def homology_table(
     chains = ChainComplex(split, mod)
     if not chains.verify_complex():
         raise InvariantError("boundary does not square to zero")
-    hom = chains.table()
+    hom = cohomology_table(chains)
     if coh is None:
         coh = cohomology_table(build_ce_complex(split, mod))
     top_weight = (0,) * split.datum.rank

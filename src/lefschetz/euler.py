@@ -212,8 +212,7 @@ def decompose_character(
         raise ValueError("character is not Weyl-invariant")
     remaining = dict(ch.terms)
     out: dict[Weight, int] = {}
-    form = datum.levi_form(levi)
-    two_rho = [sum(col) for col in zip(*(p for _, p in form[1]))]
+    two_rho = [sum(col) for col in zip(*(p for _, p in datum.levi_form(levi)[1]))]
     while remaining:
         top = max(remaining, key=lambda w: (sum(map(mul, two_rho, w)), w))
         if any(top[i] < 0 for i in levi):
@@ -223,7 +222,7 @@ def decompose_character(
             )
         m = remaining[top]
         out[top] = out.get(top, 0) + m
-        for w, mult in weight_multiplicities(datum, top, levi, form).items():
+        for w, mult in weight_multiplicities(datum, top, levi).items():
             c = remaining.get(w, 0) - m * mult
             if c:
                 remaining[w] = c

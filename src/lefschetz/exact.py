@@ -22,19 +22,12 @@ from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
 Weight = tuple[int, ...]
 
 
 class InvariantError(AssertionError):
     """A structural identity does not hold.  Raised explicitly, so that it
     survives `python -O`; an AssertionError, for callers that expect one."""
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +235,7 @@ class ExactMatrix:
         else:
             if len(entries) != rows * cols:
                 raise ValueError("entry count must equal rows * cols")
-            self.entries = [_as_fraction(x) for x in entries]
+            self.entries = [Fraction(x) for x in entries]
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "ExactMatrix":
@@ -256,7 +249,7 @@ class ExactMatrix:
 
     def __setitem__(self, ij, v):
         i, j = ij
-        self.entries[i * self.cols + j] = _as_fraction(v)
+        self.entries[i * self.cols + j] = Fraction(v)
 
     def row(self, i: int) -> list[Fraction]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -117,7 +117,6 @@ class RootDatum:
     form is `ChevalleyAlgebra.killing_dual_form_on_weights`."""
 
     def __init__(self, series: str, rank: int):
-        self.series = series
         self.rank = rank
         self.label = f"{series}{rank}"
         self.cartan_matrix = _cartan_matrix(series, rank)
@@ -138,6 +137,7 @@ class RootDatum:
         self.form = G
         self._root_coords = self._close_positive_roots()
         self.positive_roots: list[Weight] = list(self._root_coords)
+        self._levi_forms: dict[frozenset[int], tuple] = {}  # frozenset(levi) -> levi_form
 
     @classmethod
     def from_label(cls, label: str) -> "RootDatum":
@@ -213,9 +213,13 @@ class RootDatum:
         symmetrizer d, and each of its positive roots a with the pairing vector
         p_j = c_j(a) d_j for the simple-root coordinates c of a, so that
         (nu, a) = sum_j p_j nu_j in fundamental coordinates, up to the form's
-        scale (d_i = (alpha_i, alpha_i) / 2 when short roots have length^2 2)."""
-        on, _ = self.partition_roots(levi)
-        return self._d, [(r, tuple(map(mul, c, self._d))) for r, c in on]
+        scale (d_i = (alpha_i, alpha_i) / 2 when short roots have length^2 2).
+        Computed once per Levi subset, in any order or container."""
+        key = frozenset(levi)
+        if key not in self._levi_forms:
+            on, _ = self.partition_roots(key)
+            self._levi_forms[key] = self._d, tuple((r, tuple(map(mul, c, self._d))) for r, c in on)
+        return self._levi_forms[key]
 
     def weyl_order(self, levi=()) -> int:
         """|W/W_L| = prod of (ht a + 1)/ht a over the roots a of n, those off
@@ -277,15 +281,15 @@ class RootDatum:
 
     # -- dimension formula
 
-    def weyl_dimension(self, lam: Weight, levi=None, form=None) -> int:
+    def weyl_dimension(self, lam: Weight, levi=None) -> int:
         """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) over the positive
         roots of the subsystem on the `levi` simple roots (default: all), with
-        the pairings of `form` = `levi_form(levi)`, computed here if not given."""
+        the pairings of `levi_form(levi)`."""
         levi = range(self.rank) if levi is None else levi
         if len(lam) != self.rank or any(lam[i] < 0 for i in levi):
             raise ValueError(f"weight {lam} is not a dominant rank-{self.rank} weight")
         num = den = 1
-        for _, p in (form or self.levi_form(levi))[1]:
+        for _, p in self.levi_form(levi)[1]:
             num *= sum(p) + sum(map(mul, p, lam))
             den *= sum(p)
         val, rem = divmod(num, den)

@@ -180,6 +180,25 @@ class TestIntegerRootTable:
         digest = hashlib.sha256(repr(tables).encode()).hexdigest()
         assert digest == "91800bb2281a8862918f0cf36d436ce2cf6e855b098eac9799fef8365b4db7e3"
 
+    def test_special_pairs_are_the_first_decompositions(self):
+        """`special` holds each non-simple positive root, by height, with the
+        decomposition gamma = a + b whose a comes first, a before b, and
+        N(a, b) = p + 1 > 0 for the a-string through b."""
+        for label in ALL_TYPES:
+            alg = algebra(label)
+            sc, pos = alg.constants, alg.datum.positive_roots
+            simple = set(alg.datum.simple_roots)
+            assert list(sc.special) == [r for r in pos if r not in simple], label
+            for gamma, (a, b) in sc.special.items():
+                pairs = [
+                    (x, y)
+                    for x in pos
+                    if (y := tuple(g - c for g, c in zip(gamma, x))) in sc.index
+                    and sc.index[x] < sc.index[y]
+                ]
+                assert pairs[0] == (a, b), (label, gamma)
+                assert sc.n(a, b) == sc._chain_down(a, b) + 1 > 0
+
 
 class TestKillingForm:
     def test_a1_values(self):

@@ -308,6 +308,7 @@ RECORD = {
 LAMBDA_1_0 = {"lambda": ["1/0"], "m": 1}
 LAMBDA_M2 = {"lambda": ["-2"], "m": 1}
 LAMBDA_1E400 = {"lambda": ["1e400"], "m": 1}
+LAMBDA_EXP = {"lambda": ["1e{}"], "m": 1}  # the exponent filled in by the test
 M_1_7 = {"lambda": ["-2"], "m": 1.7}
 PIECE = {"coefficient": 1.0, "mu": ["0"], "box": [[1.0, 2.0]]}
 HC_INPUT = {
@@ -331,6 +332,27 @@ OPTIONS = {
     "balance": ["--type", "A1"],
     "chi-gen": ["--covolume", "2"],
 }
+
+
+def lef_files(capsys, tmp_path, command, files):
+    """Exit code and stderr of `command` on the VALID files, with `files`
+    overriding some of them by key (a str is written as it is) and options
+    by name (added where absent)."""
+    argv = [command, *OPTIONS[command]]
+    for key in FILES[command]:
+        path = tmp_path / f"{key}.json"
+        value = files.get(key, VALID[key])
+        path.write_text(value if isinstance(value, str) else json.dumps(value))
+        argv += [f"--{key}", str(path)]
+    for option, value in files.items():
+        if not option.startswith("--"):
+            continue
+        if option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+    code = main(argv)
+    return code, capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -454,23 +476,70 @@ class TestErrorPaths:
     def test_malformed_input_is_bad_input(self, capsys, tmp_path, command, override):
         """Each file is valid but for the override, which exits 2 with an
         error line, never with a traceback."""
-
-        def lef(files):
-            argv = [command, *OPTIONS[command]]
-            for key in FILES[command]:
-                path = tmp_path / f"{key}.json"
-                path.write_text(json.dumps(files.get(key, VALID[key])))
-                argv += [f"--{key}", str(path)]
-            for option, value in files.items():
-                if option.startswith("--"):
-                    argv[argv.index(option) + 1] = value
-            code = main(argv)
-            return code, capsys.readouterr().err
-
-        assert lef({}) == (EXIT_OK, "")
-        code, err = lef(override)
+        assert lef_files(capsys, tmp_path, command, {}) == (EXIT_OK, "")
+        code, err = lef_files(capsys, tmp_path, command, override)
         assert code == EXIT_BAD_INPUT
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command in FILES for key in FILES[command]]
+    )
+    def test_deeply_nested_json_is_bad_input(self, capsys, tmp_path, command, key):
+        """A file of 200 000 opening brackets, which json's parser cannot
+        nest, exits 2 with an error line, not with a RecursionError."""
+        code, err = lef_files(capsys, tmp_path, command, {key: "[" * 200_000})
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("chi-gen", {"--covolume": "1e{}"}),
+            ("chi-gen", {"--a-covolume": "1e{}"}),
+            ("chi-gen", {"input": {**HC_INPUT, "volume_ratio": "1e{}"}}),
+            ("chi-gen", {"input": {**HC_INPUT, "rho_product": "1e{}"}}),
+            ("geometric", {"ledger": {"classes": [{**RECORD, "chi_r": "1e{}"}]}}),
+            ("balance", {"spectral": {"entries": [{"table": [LAMBDA_EXP], "multiplicity": 1}]}}),
+            ("balance", {"testfn": {"pieces": [{**PIECE, "mu": ["1e{}"]}]}}),
+        ],
+        ids=["covolume", "a-covolume", "volume_ratio", "rho_product", "chi_r", "lambda", "mu"],
+    )
+    def test_decimal_exponent_over_the_limit_is_bad_input(
+        self, capsys, tmp_path, command, override, sign
+    ):
+        """Every rational read from the command line or a file refuses an
+        exponent just over MAX_EXPONENT, of either sign, with exit 2."""
+        exponent = f"{sign}{formula.MAX_EXPONENT + 1}"
+        override = json.loads(json.dumps(override).replace("1e{}", f"1e{exponent}"))
+        code, err = lef_files(capsys, tmp_path, command, override)
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:") and f"MAX_EXPONENT = {formula.MAX_EXPONENT}" in err
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(["-2"], ["0", "0"]), (["-2", "-2"], ["0"]), (["-2"], ["0"]), (["-2"] * 3, ["0"] * 3)],
+        ids=["lambda-1", "mu-1", "both-1", "both-3"],
+    )
+    def test_balance_checks_dimensions_against_a(self, capsys, tmp_path, lam, mu):
+        """On the A2 Borel, where a has dimension 2, every spectral lambda and
+        every test-function mu and box must have two entries."""
+
+        def balance(lam, mu):
+            table = [{"lambda": lam, "m": 1}]
+            piece = {**PIECE, "mu": mu, "box": [[1.0, 2.0]] * len(mu)}
+            files = {
+                "--type": "A2",
+                "spectral": {"entries": [{"table": table, "multiplicity": 1}]},
+                "ledger": {"classes": []},
+                "testfn": {"pieces": [piece]},
+            }
+            return lef_files(capsys, tmp_path, "balance", files)
+
+        assert balance(["-2", "-2"], ["0", "0"]) == (EXIT_OK, "")
+        code, err = balance(lam, mu)
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:") and "but a has dimension 2" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -619,6 +619,111 @@ def test_ce_blocks_in_normal_form_and_table_matches_unbounded_ranks(case, kind):
     assert cohomology_table(cx).degrees == unbounded_table(cx)
 
 
+# sha256 of the cochain and then the chain complex of each CE case as stored:
+# per degree the size of each weight block, in block order, and per degree
+# each map's weight, rows, den and columns, in order.
+CE_BLOCK_DIGESTS = {
+    "A2-levi-00": "57234e3d87880f0e748f3af98b775c9584eaaab6db6055f7c8189ddf30bb2774",
+    "A2-levi-01": "87b48fa94182d404ecca0dddf59b81c804b6cc5462fba4a80fda08826cf16ba8",
+    "A2-levi-02": "b9508738faf56ddad05d46ecb510db70e70d3554ae943e1e979435769815c251",
+    "A2-levi-10": "d31195fa9858be56d24c3c1eaafff62899e3d3fd00bbd7e883776092b120915d",
+    "A2-levi-11": "51e42e3342a69fd549e757117b04907fd79eae19524e04e8057390f1c259e8c2",
+    "A2-levi-12": "162106a88981dd4fa73dad9c6df9160fe30098dfdc3fbcc28a937d5c7cd6f8be",
+    "A2-levi-20": "3f53437e2fcf83e0e1ea59097be458643fda7cd56f13d152cf57c353e9044176",
+    "A2-levi-21": "875f2d280a30e01c9056e54c57320c683d9482cd7737a50793cc69e60727edfd",
+    "A2-levi-22": "1293c6c400ebe4b7e7e7db88b04e626dddc55f114f0c7a9efc16e72865322e3d",
+    "A2-levi0-00": "090dc5794eb86e6ca232e51d8451edaf542c432ba39afb7092cedbb25b667571",
+    "A2-levi0-01": "eedf7bc83068c6545b132c94e1b87dafcc4836b3212180e6fee93319e4c18473",
+    "A2-levi0-02": "79f54153a2e8ec9fc511f9b43e496a16ba9d01a420248603f52b565a0c2ec0c5",
+    "A2-levi0-10": "787eeb499004ade82e9dc1b1e4560c5223edb11e273eb5094435833707cc9ae0",
+    "A2-levi0-11": "890a164abe262a9e510761872ae71bda9d94fc5ba94370aa8b86c5c6c8d18c20",
+    "A2-levi0-12": "f74063b052531ee95b48031a07f2c8a6ce558b41a3109a47eaacbe1829a79111",
+    "A2-levi0-20": "c527c7aee22c7f639e9395ade0634f071e0ebbb84a3abf44aa8e77da60d9172a",
+    "A2-levi0-21": "f8c15648154fc902a967277cab9810dac3ab9b71d2bb93f614373be2745bbfc9",
+    "A2-levi0-22": "14623b7c4048616eaf7ab2e8925f8636ac0d3b397a911b72c8b1cd430cc3c3f7",
+    "A2-levi1-00": "68e027c286af0a8284d4b07592f09e14c48f0efac0712aafdb7cc2cba5782b28",
+    "A2-levi1-01": "dc92af83734df1cfab51b7b06fa3e5f593e87729dc838649d0e126c72ed722bf",
+    "A2-levi1-02": "83afb1a5e2d112cbca8fb3399ba4f4b094f0a89087ee6737e5514ab82d9074b6",
+    "A2-levi1-10": "09c3404fed50aa077de3110c477f0a78f7f8f2f647c8cf600020e5e94476a8dc",
+    "A2-levi1-11": "f3222039b7f784534ef6866b449bea11f4a7bf2e377ef3e05d2d494b395712bf",
+    "A2-levi1-12": "f96bc1fe586bdaf9fef093bbd4351bf66df08602d8a4a744b75b918be89abde0",
+    "A2-levi1-20": "08adb98c9a0b665003c30e620b05a920c24332e2173bd092b8c8eff522de39c5",
+    "A2-levi1-21": "62d1007c56390b4bde4358d5deefdf69a55763e9dc9fd9c8abfcf64363f13810",
+    "A2-levi1-22": "2a491f4ebfe715f03125b28668a48efc978732efd8f588daa9e8d0fdc9a30191",
+    "A2-levi01-00": "9e6c92536d4bde7f04cbe5669b769f665c10707e059503d0d4c64923868efa7a",
+    "A2-levi01-01": "e18ca57306d437c58d5176bc9fddd5a923cad267c28348b0f271f3331235a5f2",
+    "A2-levi01-02": "6574d3e5903bd3b36a2840dc57dc649d2d590720d2d3fa7e1657e35ca8da4c60",
+    "A2-levi01-10": "9ad1fa2199f4a6ede8d9775a9a4a5cc0512ab8db6e65e3fe9b5f40af89fb843c",
+    "A2-levi01-11": "f919d179c1b426458a066d8f4ff461a34b1fc29812a4c985939d357d070a9683",
+    "A2-levi01-12": "c0b0add887b3abe9039053ee2953b94abb8bcb5492692ba1bc332e6910c8db1f",
+    "A2-levi01-20": "459b4b206bb6095c8180e9014fc50350080a120b16eb7a637862ebd575497f2b",
+    "A2-levi01-21": "cbba380e1b03d87a15104476bf0c57a245d973d0f950441f3306504492ab30d7",
+    "A2-levi01-22": "5537eaf0027cba862375859643820de27e81ebbb5610c45b1009100320320bd8",
+    "B2-levi-00": "19e3d4ec3ac249f73ddff4549b1fb3a4f11c2d4947ed8801d52abc9357daf3fc",
+    "B2-levi-01": "3a469506f6fa6bfb1fb90571da403814b27572301282b733dfcdc663ffd51102",
+    "B2-levi-02": "0f2e269e8061bc6b85a1945ca1cfa9afe9603a7a49df97d47663aab1250e32dd",
+    "B2-levi-10": "6df72e32c19382e7b191dd4b9c8d6e6b233a0d2711b15bcb1ea51f27137ef330",
+    "B2-levi-11": "8e177aeefced8e7ee2523d21a3b90975d145b2d41c3289d3bf1c86113b5bb793",
+    "B2-levi-12": "e1d199f57cd7a36a8eed8c5a41c73391fe3e905a8b2a4fb15e66d0475c3f6d9a",
+    "B2-levi-20": "e1f9ff942bc6d459349db0678025d7644e959c07983a6df068ec2625b38dfa93",
+    "B2-levi-21": "e163200ece703ddf906627a8cab3023d7b228d439c948e3573046d3b70a92c78",
+    "B2-levi-22": "8401187407ef310f24f8b3b5c6b3289172ff9ce6aa989d699417852095ac797d",
+    "B2-levi0-00": "a5dd5115fefaba52ee0e1483aec61eff1623a9cc46d758d22ff0edbf4626e299",
+    "B2-levi0-01": "1e32ab77b2ccd6fafc8d28075d3ba962f3ccd440dbf05f41e432c53f8e07e70e",
+    "B2-levi0-02": "43446b3e0c6afc7bbafe29bdd2341613424615d7219445776c807a635283ec3a",
+    "B2-levi0-10": "57ce2ee73895b6c2d95045cda65c3063fa8117af2b0d8bb27cb1cbc7acf74ed1",
+    "B2-levi0-11": "88722b00709234d67dc387b61cacd3ee2516a80db6f8fba429329d33bf67d9c6",
+    "B2-levi0-12": "d92c4b4098e07fb7aa0c2363f4ed5a19b495d37a38d813915afb395cd7ac2ce2",
+    "B2-levi0-20": "b050581b96034f7faa9e1947527d45c2d569c9defe1a21e6a72968c2667d1747",
+    "B2-levi0-21": "e800ba50f8d631563faf3a867ac3227e924d370de8a586dbd602834dbe830ae4",
+    "B2-levi0-22": "65daa547e3a482d5dff762c60152d366b2515c6e1076212d1799897e99e80682",
+    "B2-levi1-00": "253b2a3253ebe54b4fbef24dd1ecbc44f93639ab35fe7d74a747a14561e1fa80",
+    "B2-levi1-01": "170941015f686ea4caa3bd3a6e64285f4136a7874b57fae71e3dff9dcb4fa9e0",
+    "B2-levi1-02": "6b6c7e7af662be65aa8a69aa57a094d0c8fe173fa294fdfabbcc6379d964aeee",
+    "B2-levi1-10": "08fa1b3337916bfbcaaf79df843cb8544478465556ee51f7dd6bb8c794d097ac",
+    "B2-levi1-11": "67b2383503849b3c8105132ed298ea193be8d788a645e9a652c2575f36a4c321",
+    "B2-levi1-12": "80a3406dd6dd399ae595f44a98b7b9096574b9e48423092e8cb9899d7d86399e",
+    "B2-levi1-20": "2d08b026e68757e6766dd2b6d4886b404ff6b2d27028083678f3bf30293cc366",
+    "B2-levi1-21": "69802d5690b570d67e601019039a7ab54633bbb502d8085fc1b2d184de7fa5c3",
+    "B2-levi1-22": "c29bff6632765d4b0a9d8a063a8ccc8a7c4b942e93f43d5e6d701bb60d2f502a",
+    "B2-levi01-00": "9e6c92536d4bde7f04cbe5669b769f665c10707e059503d0d4c64923868efa7a",
+    "B2-levi01-01": "d59c969eac55a45c0248b47db0dda77d99abbd94c0baab8f1107eaccf0d8a9c4",
+    "B2-levi01-02": "4c4512ee41bb4f7e422b38478b0774253193c01e366919de633ff8409bc0aecc",
+    "B2-levi01-10": "7f20e0ab065c6aaaa248978e79eb7a947a883b7aecf750a73717f38fbfbd33f7",
+    "B2-levi01-11": "fe75191c4657c0905bb2883cd5d597de28b3287d797b258c0a6f8d0f5378ee43",
+    "B2-levi01-12": "df58d1175e28f37bf1165c52e07c77eae4792b57ee1dcc44df31539d2e7ee75e",
+    "B2-levi01-20": "a6b21dd64cccdc60538cde11019fe93b381f0e5f6fda73d6563f0018be3e8f03",
+    "B2-levi01-21": "d8b6041fbb4fbb000ca037dabfb7738d82e93ac02fff40456ddff233db17ce58",
+    "B2-levi01-22": "d289a95eead29d0569575c43b066b4bc67005e3a64fff40f2603762dfb7d7a26",
+    "G2-levi-10": "a1747df912f6fe3d21d6039589588b4d07ba146e59924f7868a1f070eafa03b3",
+    "G2-levi0-10": "e5014bfbb9cc66aac16184161b22c98e8570e3e4131dc278ba18ba8c65ab635a",
+    "G2-levi1-10": "9b30602468ebed568efd6e0db064d40db9bee2774514d1b0d5be2c81875f559d",
+    "G2-levi01-10": "1f44d7d7ba6a2a9253b0c6b01e23a2cd1e1e4775e653f2d7c3d337dfaca999f4",
+    "A3-levi-111": "3152d1578c9b88d20ce1e7ee4e5e2d4f5b700210a2f71e53bb9dd690591911ed",
+    "B3-levi-001": "578be45308b07d5ea1492c0b772793f75a2f52c08f9caeb32e86e5425a87e830",
+    "D4-levi-0000": "2543c0ccfbe8d8e2ac10809a82cd5373f4aa451f1c1874a98272a8e9273b638d",
+}
+
+
+def stored_blocks(cx):
+    sizes = [[(wt, len(cols)) for wt, cols in blocks.items()] for blocks in cx.bases]
+    maps = [[(wt, d.rows, d.den, d.columns) for wt, d in ds.items()] for ds in cx.differentials]
+    return repr((sizes, maps)).encode()
+
+
+@pytest.mark.parametrize("case", CE_CASES, ids=_case_id)
+def test_ce_blocks_are_pinned(case):
+    """Every block of both complexes, byte for byte, and each map's block
+    holds the very column list of its degree's weight block."""
+    digest = hashlib.sha256()
+    for kind in sorted(KINDS):
+        cx = KINDS[kind](*_split_and_module(*case))
+        for q, blocks in enumerate(cx.differentials):
+            assert all(d.columns is cx.bases[q][wt] for wt, d in blocks.items())
+        digest.update(stored_blocks(cx))
+    assert digest.hexdigest() == CE_BLOCK_DIGESTS[_case_id(case)]
+
+
 def _set_entry(block, col, row):
     """Double the entry (row, col) of a block, or make it 1 if it is zero."""
     entries = block.columns[col]

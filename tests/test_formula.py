@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import formula
 from lefschetz.algebra import build_chevalley_algebra, highest_weight_module, parabolic_split
 from lefschetz.cohomology import build_ce_complex, cohomology_table, irreducible_character
 from lefschetz.euler import trivial_multiplicity
 from lefschetz.exact import LaurentCharacter, exterior_power_character
 from lefschetz.formula import (
     DET_WEIGHT_BOUND,
+    MAX_EXPONENT,
     GeodesicClassRecord,
     SpectralInput,
     SpectralTermTable,
@@ -26,6 +28,7 @@ from lefschetz.formula import (
     geometric_term,
     hecht_schmid_check,
     integrate_testfn,
+    read_fraction,
     spectral_term,
 )
 from lefschetz.roots import build_root_system
@@ -145,6 +148,14 @@ class TestSpectralTerm:
         combined = SpectralInput(((t0, 2), (t2, -1))).combined()
         for k in set(t0.terms) | set(t2.terms):
             assert combined.terms.get(k, 0) == 2 * t0.terms.get(k, 0) - t2.terms.get(k, 0)
+
+    def test_combined_drops_cancelled_weights(self):
+        """Entries that cancel leave no weight behind, even a zero one."""
+        table = SpectralTermTable({(Fraction(-2),): 3, (Fraction(1, 2),): 1})
+        other = SpectralTermTable({(Fraction(-2),): 1})
+        assert SpectralInput(((table, 1), (other, -3))).combined().terms == {(Fraction(1, 2),): 1}
+        assert SpectralInput(((table, 2), (table, -2))).combined().terms == {}
+        assert SpectralInput(()).combined().terms == {}
 
     def test_nontrivial_levi_invariants(self):
         _, _, split = setup("A2", {0})
@@ -340,6 +351,32 @@ class TestIntegration:
         phi = box_fn(mu=(Fraction(1),))
         assert phi.evaluate((1.5,)) == pytest.approx(math.exp(1.5))
         assert phi.evaluate((5.0,)) == 0.0
+
+
+class TestReadFraction:
+    @pytest.mark.parametrize(
+        "v", [3, 0.5, "3/2", " -7 ", "1e400", "1e-400", "2.5E+3", f"1e{MAX_EXPONENT}"]
+    )
+    def test_reads_what_fraction_reads(self, v):
+        assert read_fraction(v) == Fraction(v)
+
+    @pytest.mark.parametrize("v", [f"1e{MAX_EXPONENT + 1}", f"-2.5E-{MAX_EXPONENT + 1} "])
+    def test_exponent_over_the_limit_refused_before_fraction(self, monkeypatch, v):
+        """The exponent is read off the string: Fraction is never called."""
+
+        def refuse(*args):
+            raise AssertionError("Fraction called")
+
+        monkeypatch.setattr(formula, "Fraction", refuse)
+        with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+            read_fraction(v)
+
+    @pytest.mark.parametrize("v", ["1e", "1e400/3", "e5", [1]])
+    def test_malformed_values_raise_as_fraction_does(self, v):
+        with pytest.raises((ValueError, TypeError)):
+            Fraction(v)
+        with pytest.raises((ValueError, TypeError)):
+            read_fraction(v)
 
 
 class TestBalance:

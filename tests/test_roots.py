@@ -262,6 +262,19 @@ class TestDimensionFormula:
             assert tuple(map(d.weyl_dimension, d.fundamental_weights)) == dims, label
 
 
+def test_levi_form_is_computed_once_per_levi_subset():
+    """A Levi subset given as a list, a set or a range is one memo entry,
+    equal to the form computed afresh from `partition_roots`."""
+    d = build_root_system("B3")
+    first = d.levi_form([1, 0])
+    assert d.levi_form({0, 1}) is first and d.levi_form(range(2)) is first
+    assert len(d._levi_forms) == 1
+    on, _ = d.partition_roots({0, 1})
+    fresh = [(r, tuple(c_j * d_j for c_j, d_j in zip(c, d._d))) for r, c in on]
+    assert first[0] == d._d == [2, 2, 1]
+    assert list(first[1]) == fresh and len(fresh) == 3
+
+
 class TestDotAction:
     """The dot action w . lam = w(lam + rho) - rho, on the shifted weight lam + rho."""
 
