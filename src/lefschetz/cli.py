@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,9 +28,30 @@ def _dim_bound() -> int:
     return int(os.environ.get("LEF_MAX_DIM", algebra.DIMENSION_BOUND))
 
 
+def _first_non_finite(obj, path: str = "") -> str | None:
+    """The path and value of the first NaN or infinity in obj, in printed
+    order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} = {obj}"
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(v, p) for p, v in items)), None)
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    """obj as JSON on stdout; a ValueError naming the first value that JSON
+    cannot hold (a NaN or an infinity), with nothing printed."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        if (where := _first_non_finite(obj)) is None:
+            raise
+        raise ValueError(f"{where} is not a finite number") from None
+    sys.stdout.write(text + "\n")
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:

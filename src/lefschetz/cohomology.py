@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 from typing import Iterator
 
 from .algebra import ParabolicSplit, WeightModule, _add, _neg, _sub
 from .exact import InvariantError, LaurentCharacter, SparseMatrix, Weight
-from .exact import _integral, alternating_exterior_sum, image
+from .exact import _integral, alternating_exterior_sum, checked_span, image, pack, unpack
 from .roots import RootDatum
 
 
@@ -278,12 +278,18 @@ class CohomologyTable:
         return out
 
     def euler_character(self) -> LaurentCharacter:
-        total: dict[Weight, int] = {}
+        """Σ_q (-1)^q ch H^q, summed straight into packed points: the table's
+        weights are integral points of the rank already."""
+        total: dict[int, int] = {}
+        get, span = total.get, 0
         for q, table in enumerate(self.degrees):
             sign = (-1) ** q
             for wt, d in table.items():
-                total[wt] = total.get(wt, 0) + sign * d
-        return LaurentCharacter(self.split.datum.rank, total)
+                k = pack(wt)
+                total[k] = get(k, 0) + sign * d
+            span = max(span, max(map(abs, chain.from_iterable(table)), default=0))
+        total = {k: m for k, m in total.items() if m}
+        return LaurentCharacter._of(self.split.datum.rank, total, span)
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyTable):
@@ -340,16 +346,18 @@ def cohomology_table(cx: CEComplex) -> CohomologyTable:
 
 def kostant_weights(datum: RootDatum, split: ParabolicSplit, lam) -> Iterator[list[Weight]]:
     """Kostant's highest weights, one list per degree q: w(lam+rho)-rho for
-    each minimal coset representative w of length q, read off the integer
-    columns of `RootDatum.coset_walk` one level at a time."""
+    each minimal coset representative w of length q, as
+    sum_k (lam+rho)_k w(omega_k) - rho on the packed columns of
+    `RootDatum.coset_walk`, one level at a time.  Every coordinate of w(y) is
+    <y, beta^vee> for a coroot beta^vee, whose simple-coroot coefficients are
+    at most 6, so lam+rho must sum to less than PACK_LIMIT / 6."""
     lam = tuple(map(_integral, lam))
     if len(lam) != datum.rank or not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not a dominant weight of {datum.label}")
-    shifted = _add(lam, datum.rho)
+    shifted, rank, rho = _add(lam, datum.rho), datum.rank, pack(datum.rho)
+    checked_span(6 * sum(shifted))
     for level in datum.coset_walk(sorted(split.levi)):
-        yield [  # w(lam + rho) - rho for each w = v^-1 of the walk
-            tuple(sum(map(mul, shifted, r)) - 1 for r in zip(*cols)) for _, cols in level.values()
-        ]
+        yield [unpack(sum(map(mul, shifted, cols)) - rho, rank) for _, cols in level.values()]
 
 
 def kostant_prediction(

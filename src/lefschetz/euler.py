@@ -19,6 +19,12 @@ from .exact import LaurentCharacter, Weight, alternating_exterior_sum
 from .roots import RootDatum
 
 
+# The largest numerator or denominator of an exact factor that is printed, in
+# bits: at most 4215 decimal digits, within the 4300 that Python turns into a
+# string by default.
+MAX_FACTOR_BITS = 14000
+
+
 @dataclass(frozen=True)
 class BettiVector:
     b: tuple[int, ...]
@@ -85,8 +91,17 @@ class SymbolicScalar:
 
     def to_json_obj(self) -> dict:
         """The exact parts, and `float_value`, which is null where the value
-        lies beyond the float range."""
+        lies beyond the float range.  An exact factor whose numerator or
+        denominator has more than MAX_FACTOR_BITS bits is refused with a
+        ValueError before it is turned into decimal digits."""
         f = self.factor
+        if isinstance(f, Fraction):
+            bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+            if bits > MAX_FACTOR_BITS:
+                raise ValueError(
+                    f"the exact factor has a {bits}-bit part, more than the limit "
+                    f"MAX_FACTOR_BITS = {MAX_FACTOR_BITS}"
+                )
         try:
             value = self.float_value()
         except OverflowError:

@@ -3,9 +3,13 @@
 Everything here is rational-exact: scalars are `fractions.Fraction`, and
 characters are finite integer-weighted multisets of points of one lattice, the
 weight lattice (`spin` keeps its half-integral weights on the doubled one).
-The `LaurentCharacter` constructor is the one validating boundary (integral
-points of length `rank`, integral multiplicities); ring operations on valid
-characters build their results directly.  Dense matrices (`ExactMatrix`) hold
+A lattice point on the hot paths is one int (`pack`, `unpack`), whose
+addition is vector addition while every coordinate stays below PACK_LIMIT in
+size; a character keys its points so and carries a `span` bounding their
+coordinates, refused at PACK_LIMIT.  The `LaurentCharacter` constructor is
+the one validating boundary (integral points of length `rank`, integral
+multiplicities); ring operations on valid characters build their results
+directly.  Dense matrices (`ExactMatrix`) hold
 Fractions; sparse ones (`SparseMatrix`) hold integer columns, each a row ->
 entry dict, over one positive denominator, so their images (`image`) and ranks
 run in integers.  Both are ranked by one fraction-free elimination, `echelon`,
@@ -15,12 +19,14 @@ enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, neg, sub
-from typing import Iterable, Mapping, Sequence
+from operator import add, sub
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 Weight = tuple[int, ...]
 
@@ -28,6 +34,56 @@ Weight = tuple[int, ...]
 class InvariantError(AssertionError):
     """A structural identity does not hold.  Raised explicitly, so that it
     survives `python -O`; an AssertionError, for callers that expect one."""
+
+
+# ---------------------------------------------------------------------------
+# Packed lattice points
+
+
+# A lattice point w is the int sum_k w_k 2^(k PACK_BITS): coordinate k is the
+# k-th PACK_BITS-bit block, a balanced digit in [-2^(PACK_BITS-1),
+# 2^(PACK_BITS-1)).  Packing is additive, so the sum of two packed points is
+# the packed sum, and it decodes uniquely while every coordinate is below
+# 2^(PACK_BITS-1) in size.  Points kept packed have coordinates below
+# PACK_LIMIT, so that the sum of two of them still decodes.  A block is 64
+# bits, the width of struct's "q", which decodes it.
+PACK_BITS = 64
+PACK_LIMIT = 2**62
+
+
+def pack(w: Sequence[int]) -> int:
+    """The int sum_k w_k 2^(k PACK_BITS) of integer coordinates w."""
+    k = 0
+    for c in reversed(w):
+        k = (k << PACK_BITS) + c
+    return k
+
+
+@lru_cache
+def _layout(rank: int) -> tuple[int, Callable, int]:
+    """The top bit of every block, the decoder of `rank` signed blocks, and
+    their length in bytes."""
+    top = sum(1 << (PACK_BITS * j + PACK_BITS - 1) for j in range(rank))
+    return top, struct.Struct(f"<{rank}q").unpack, PACK_BITS // 8 * rank
+
+
+def unpack(k: int, rank: int) -> Weight:
+    """The rank coordinates packed in k, each below 2^(PACK_BITS-1) in size.
+    Adding the top bits moves every balanced digit d to d + 2^(PACK_BITS-1) in
+    [0, 2^PACK_BITS) with no carry, and clearing them again leaves each block
+    the two's complement of d."""
+    top, decode, size = _layout(rank)
+    return decode(((k + top) ^ top).to_bytes(size, "little"))
+
+
+def checked_span(span: int) -> int:
+    """span, a bound on the size of coordinates to be packed; a ValueError at
+    or above PACK_LIMIT, where their keys could no longer be told apart."""
+    if span >= PACK_LIMIT:
+        raise ValueError(
+            f"a lattice coordinate of size up to {span} reaches the limit PACK_LIMIT = 2**62"
+        )
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -44,38 +100,55 @@ def _integral(x) -> int:
     return i
 
 
-@dataclass(frozen=True)
 class LaurentCharacter:
     """Virtual character on a rank-r lattice torus.
 
-    `terms` maps lattice points (length `rank`) to nonzero integer
-    multiplicities.  The constructor is the one validating boundary: it
-    checks every point's length and that every coordinate and multiplicity is
-    integral, and drops zero multiplicities.  Ring operations (`+`, `-`, `*`,
+    The character is a dict from packed lattice points (`pack`) to nonzero
+    integer multiplicities, so that shifting every point of a character by u
+    is one int addition per point.  `span` bounds the size of every
+    coordinate: a character built from its terms has the largest one, a sum
+    or difference the larger span of its operands and a product the sum of
+    their spans.  A span at or above PACK_LIMIT is refused with a ValueError.
+    `terms` is the read-only view lattice point (length `rank`) ->
+    multiplicity, decoded on first read in the order the points were stored.
+
+    The constructor is the one validating boundary: it checks every point's
+    length and that every coordinate and multiplicity is integral, drops zero
+    multiplicities and packs the points.  Ring operations (`+`, `-`, `*`,
     `dual`) on valid characters build their results directly, through `_of`.
     """
 
-    rank: int
-    terms: Mapping[Weight, int] = field(default_factory=dict)
+    __slots__ = ("rank", "span", "_packed", "_terms")
 
-    def __post_init__(self):
-        clean = {}
-        for w, m in self.terms.items():
-            if len(w) != self.rank:
-                raise ValueError(f"weight {w} has wrong length for rank {self.rank}")
+    def __init__(self, rank: int, terms: Mapping[Sequence, int] | None = None):
+        packed, span = {}, 0
+        for w, m in (terms or {}).items():
+            if len(w) != rank:
+                raise ValueError(f"weight {w} has wrong length for rank {rank}")
             w, m = tuple(map(_integral, w)), _integral(m)
             if m:
-                clean[w] = m
-        object.__setattr__(self, "terms", clean)
+                span = max(span, max(map(abs, w), default=0))
+                packed[pack(w)] = m
+        self.rank, self.span, self._packed, self._terms = rank, checked_span(span), packed, None
 
     @classmethod
-    def _of(cls, rank: int, terms: dict[Weight, int]) -> "LaurentCharacter":
-        """The character of `terms`, already integral points of length `rank`
-        with nonzero int multiplicities: no checks, no copy."""
+    def _of(cls, rank: int, packed: dict[int, int], span: int) -> "LaurentCharacter":
+        """The character of `packed`, packed points of length `rank` with
+        nonzero int multiplicities and coordinates of size at most `span`:
+        no checks but the span's, no copy."""
         ch = object.__new__(cls)
-        object.__setattr__(ch, "rank", rank)
-        object.__setattr__(ch, "terms", terms)
+        ch.rank, ch.span, ch._packed, ch._terms = rank, checked_span(span), packed, None
         return ch
+
+    @property
+    def terms(self) -> Mapping[Weight, int]:
+        if self._terms is None:
+            rank = self.rank
+            self._terms = MappingProxyType({unpack(k, rank): m for k, m in self._packed.items()})
+        return self._terms
+
+    def __repr__(self):
+        return f"LaurentCharacter(rank={self.rank}, terms={dict(self.terms)!r})"
 
     # -- constructors
 
@@ -109,15 +182,15 @@ class LaurentCharacter:
         if not isinstance(other, LaurentCharacter):
             return NotImplemented
         self._check_rank(other)
-        terms = dict(self.terms)
-        get = terms.get
-        for w, m in other.terms.items():
-            m = op(get(w, 0), m)
+        packed = dict(self._packed)
+        get = packed.get
+        for k, m in other._packed.items():
+            m = op(get(k, 0), m)
             if m:
-                terms[w] = m
+                packed[k] = m
             else:
-                del terms[w]
-        return self._of(self.rank, terms)
+                del packed[k]
+        return self._of(self.rank, packed, max(self.span, other.span))
 
     def __add__(self, other: "LaurentCharacter") -> "LaurentCharacter":
         return self._combine(other, add)
@@ -126,56 +199,52 @@ class LaurentCharacter:
         return self._combine(other, sub)
 
     def __neg__(self) -> "LaurentCharacter":
-        return self._of(self.rank, {w: -m for w, m in self.terms.items()})
+        return self._of(self.rank, {k: -m for k, m in self._packed.items()}, self.span)
 
     def __mul__(self, other) -> "LaurentCharacter":
         if isinstance(other, int):
-            terms = {w: m * other for w, m in self.terms.items()} if other else {}
-            return self._of(self.rank, terms)
+            packed = {k: m * other for k, m in self._packed.items()} if other else {}
+            return self._of(self.rank, packed, self.span)
         if not isinstance(other, LaurentCharacter):
             return NotImplemented
         self._check_rank(other)
-        rank, small, large = self.rank, self.terms, other.terms
+        span = checked_span(self.span + other.span)
+        small, large = self._packed, other._packed
         if len(small) > len(large):
             small, large = large, small
-        zero, mults = (0,) * rank, large.values()
-        # The zero point keeps large's keys.  Any other point u shifts all of
-        # them in C: the flattened coordinates plus u repeated once per key,
-        # cut back into rank-tuples by zipping one iterator `rank` times.
-        flat, repeat = list(chain.from_iterable(large)), len(large)
-        terms: dict[Weight, int] = {}
-        get = terms.get
-        for u, mu in small.items():
-            keys = large if u == zero else zip(*[map(add, flat, u * repeat)] * rank)
-            for w, mv in zip(keys, mults):
-                m = get(w, 0) + mu * mv
+        keys, mults = list(large), list(large.values())
+        packed: dict[int, int] = {}
+        get = packed.get
+        for u, mu in small.items():  # the points of large shifted by u, in C
+            for k, mv in zip(map(add, keys, repeat(u)), mults):
+                m = get(k, 0) + mu * mv
                 if m:
-                    terms[w] = m
+                    packed[k] = m
                 else:
-                    del terms[w]
-        return self._of(rank, terms)
+                    del packed[k]
+        return self._of(self.rank, packed, span)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentCharacter):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return self.rank == other.rank and self._packed == other._packed
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, frozenset(self._packed.items())))
 
     # -- queries
 
     def is_effective(self) -> bool:
-        return all(m > 0 for m in self.terms.values())
+        return all(m > 0 for m in self._packed.values())
 
     def dimension(self) -> int:
         """Sum of multiplicities (the value at the identity point)."""
-        return sum(self.terms.values())
+        return sum(self._packed.values())
 
     def dual(self) -> "LaurentCharacter":
-        return self._of(self.rank, {tuple(map(neg, w)): m for w, m in self.terms.items()})
+        return self._of(self.rank, {-k: m for k, m in self._packed.items()}, self.span)
 
     def weight_list(self) -> list[Weight]:
         """Weights repeated with multiplicity; requires an effective character."""

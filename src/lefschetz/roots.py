@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterator
 
-from .exact import ExactMatrix, InvariantError, Weight
+from .exact import ExactMatrix, InvariantError, Weight, pack, unpack
 
 WEYL_ORDER_BOUND = 10**6
 
@@ -156,9 +157,7 @@ class RootDatum:
 
     def reflect(self, lam: Weight, i: int) -> Weight:
         """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i."""
-        c = lam[i]
-        alpha = self.simple_roots[i]
-        return tuple(x - c * a for x, a in zip(lam, alpha))
+        return tuple(map(sub, lam, map(mul, repeat(lam[i]), self.simple_roots[i])))
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam)
@@ -237,43 +236,49 @@ class RootDatum:
         Level q maps each point v(lam_P) of the orbit of lam_P = sum of the
         omega_i off the Levi to v's reduced word and the columns w(omega_k)
         of w = v^-1, Kostant's representative (w^-1 alpha_j > 0 on the Levi).
-        A step s_i from a point with x_i > 0 raises the length by one, and
-        w s_i differs from w only in column i, by -w(alpha_i).  |W/W_L| is
-        checked against WEYL_ORDER_BOUND before the first level and against the
-        count after the last; the bound limits the walk only, not the Levi
-        modules built on it.
+        Points and columns are packed lattice points (`exact.pack`), so that
+        sum_k y_k w(omega_k) is w(y) packed.  A step s_i from a point with
+        x_i > 0 raises the length by one, reaches x - x_i alpha_i, and w s_i
+        differs from w only in column i, by -w(alpha_i) = -sum_j a_ij
+        w(omega_j): int arithmetic on packed points, whose coordinates, sums
+        of coroot coefficients, stay far below PACK_LIMIT.  |W/W_L| is checked
+        against WEYL_ORDER_BOUND before the first level and against the count
+        after the last; the bound limits the walk only, not the Levi modules
+        built on it.
         """
         count = self.weyl_order(levi)
         if count > WEYL_ORDER_BOUND:
             raise ValueError(
                 f"|W/W_L| = {count} exceeds the limit WEYL_ORDER_BOUND = {WEYL_ORDER_BOUND}"
             )
+        rank, simple = self.rank, list(map(pack, self.simple_roots))
         links = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan_matrix]
-        start = tuple(int(i not in levi) for i in range(self.rank))
-        level, found = {start: ((), tuple(self.fundamental_weights))}, 0
+        start = pack([int(i not in levi) for i in range(rank)])
+        level, found = {start: ((), tuple(map(pack, self.fundamental_weights)))}, 0
         while level:
             yield level
             found += len(level)
             prev, level = level, {}
             for x, (word, cols) in prev.items():
-                for i, c in enumerate(x):
-                    if c <= 0 or (y := self.reflect(x, i)) in level:
+                for i, c in enumerate(unpack(x, rank)):
+                    if c <= 0 or (y := x - c * simple[i]) in level:
                         continue
-                    col = cols[i]  # less w(alpha_i) = sum_j a_ij w(omega_j)
+                    col = cols[i]
                     for j, a in links[i]:
-                        col = tuple(u - a * v for u, v in zip(col, cols[j]))
+                        col -= a * cols[j]
                     level[y] = ((i,) + word, cols[:i] + (col,) + cols[i + 1 :])
         if found != count:
             raise InvariantError(f"the walk found {found} cosets, not |W/W_L| = {count}")
 
     def weyl_group(self) -> list[WeylElement]:
         """All Weyl elements, shortest first: the coset walk with no Levi.  An
-        entry holds the word of v and the columns of v^-1, whose own word is
-        the one at its image of rho, the sum of its columns."""
+        entry holds the word of v and the packed columns of v^-1, whose own
+        word is the one at its image of rho, the sum of its columns; each
+        element keeps its columns unpacked."""
         levels = list(self.coset_walk())
         words = {x: word for level in levels for x, (word, _) in level.items()}
         group = [
-            WeylElement(words[tuple(map(sum, zip(*cols)))], cols, q)
+            WeylElement(words[sum(cols)], tuple(unpack(c, self.rank) for c in cols), q)
             for q, level in enumerate(levels)
             for _, cols in level.values()
         ]

@@ -12,6 +12,7 @@ import pytest
 
 from lefschetz import algebra, cohomology, euler, formula, spin, verify
 from lefschetz.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VERIFY_FAIL, main
+from lefschetz.exact import PACK_LIMIT
 from lefschetz.verify import MAX_COMB, MAX_SPIN_M
 
 
@@ -515,6 +516,57 @@ class TestErrorPaths:
         code, err = lef_files(capsys, tmp_path, command, override)
         assert code == EXIT_BAD_INPUT
         assert err.startswith("error:") and f"MAX_EXPONENT = {formula.MAX_EXPONENT}" in err
+
+    @pytest.mark.parametrize(
+        "command, override, quantity",
+        [
+            (
+                "geometric",
+                {"ledger": {"classes": [{**RECORD, "covolume": 1e308, "omega_trace": [10.0, 0.0]}]}},
+                "classes[0].c[0] = nan",
+            ),
+            (
+                "balance",
+                {
+                    "ledger": {"classes": [{**RECORD, "a_log": [-1.5]}]},
+                    "testfn": {"pieces": [{**PIECE, "coefficient": 1e308, "mu": ["1"]}]},
+                },
+                "global[0] = inf",
+            ),
+        ],
+        ids=["geometric", "balance"],
+    )
+    def test_non_finite_output_is_bad_input(self, capsys, tmp_path, command, override, quantity):
+        """Finite inputs whose result leaves the float range exit 2 with an
+        error line naming the first value JSON cannot hold, and print
+        nothing, where they printed NaN or Infinity and exited 0."""
+        code, err = lef_files(capsys, tmp_path, command, override)
+        assert code == EXIT_BAD_INPUT
+        assert err == f"error: {quantity} is not a finite number\n"
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"--covolume": "1e5000"},
+            {"--covolume": "1e4000", "input": {**HC_INPUT, "volume_ratio": "1e-4000"}},
+        ],
+        ids=["covolume-1e5000", "volume_ratio-1e-4000"],
+    )
+    def test_chi_gen_factor_over_the_digit_limit_is_bad_input(self, capsys, tmp_path, override):
+        """An exact factor too long to print exits 2 naming MAX_FACTOR_BITS,
+        not with Python's message on integer string conversion; 1e4000
+        alone still prints."""
+        code, err = lef_files(capsys, tmp_path, "chi-gen", override)
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:") and f"MAX_FACTOR_BITS = {euler.MAX_FACTOR_BITS}" in err
+        assert lef_files(capsys, tmp_path, "chi-gen", {"--covolume": "1e4000"}) == (EXIT_OK, "")
+
+    def test_spectral_weight_at_the_pack_limit_is_bad_input(self, capsys):
+        """A weight whose Kostant weights could not be packed exits 2."""
+        code = main(["spectral", "--type", "A1", "--weight", str(PACK_LIMIT)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.startswith("error:") and "PACK_LIMIT" in err
 
     @pytest.mark.parametrize(
         "lam, mu",

@@ -31,6 +31,7 @@ from lefschetz.cohomology import (
     weight_multiplicities,
 )
 from lefschetz.exact import (
+    PACK_LIMIT,
     ExactMatrix,
     InvariantError,
     LaurentCharacter,
@@ -309,6 +310,15 @@ class TestPredictionOracle:
         datum, split, _ = setup("A1", set(), (0,))
         assert list(kostant_weights(datum, split, lam)) == [[(2,)], [(-4,)]]
 
+    def test_weight_below_the_pack_limit(self):
+        """6 (lam + rho) stays below PACK_LIMIT, so no coordinate of
+        w(lam + rho) - rho reaches it; one more is refused."""
+        datum, split, _ = setup("A1", set(), (0,))
+        lam = PACK_LIMIT // 6 - 1
+        assert list(kostant_weights(datum, split, (lam,))) == [[(lam,)], [(-lam - 2,)]]
+        with pytest.raises(ValueError, match="PACK_LIMIT"):
+            next(kostant_weights(datum, split, (lam + 1,)))
+
     def test_a2_levi_0_trivial(self):
         """w = e, s_1, s_1 s_0 give the Levi modules of highest weight (0, 0),
         (1, -2) (weights (1, -2), (-1, -1)) and (0, -3)."""
@@ -444,6 +454,35 @@ def test_oracle_pool_outputs_are_pinned(label, levi, lam, digest):
     assert table.euler_character() == euler
     outputs = [sorted(t.items()) for t in table.degrees], sorted(euler.terms.items())
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == digest
+
+
+# sha256 of repr(list(kostant_weights(...))), recorded before the walk kept
+# packed columns: every seeded image of the benchmark's oracle pool (D5 with
+# either spin node), the six E6 maximal parabolics and E7 without node 7.
+KOSTANT_WEIGHT_DIGESTS = (
+    ("F4", (), (0, 0, 0, 1), "ef342bb776696e81fec59f70ac1a3bb612e2949fafbadb8b19f6b04d1f1984d5"),
+    ("B4", (), (1, 0, 0, 0), "f6d88c3727fa7868f49e2526e5246829df2b25a72df4c0f496130b979b9e8f9f"),
+    ("B4", (0,), (0, 0, 0, 0), "67f5b5b294f79d0c5002f3486fb72ba5184072777a12977ada5ce719068b9585"),
+    ("B4", (2, 3), (0, 0, 0, 1), "e01ea999730a1aabc48244602b4e8de58b9d29fb5a3c72770ed490e54a908cf4"),
+    ("D5", (), (0, 0, 0, 1, 0), "0112c51d30efe340a2451ed541ca3965f66ec99528b4b5feaecd5a168dbd561b"),
+    ("D5", (), (0, 0, 0, 0, 1), "95f52144027fab3729ddb3ef6e4f1f010691853cb34965574d733b60f839169a"),
+    ("E6", (1, 2, 3, 4, 5), (0,) * 6, "1e850f8b68c49280f43bd7a9da7b5f5d64bb1720ea0e8cf735b2c4715e8dff87"),
+    ("E6", (0, 2, 3, 4, 5), (0,) * 6, "d763f02e4b11f34c5b715202715b42fa66b4de3ed3a91770985cf680c335798a"),
+    ("E6", (0, 1, 3, 4, 5), (0,) * 6, "2eef5c636a611d7a955e7ff0532579e57de7d69db08f81f96d624ce8738bcf56"),
+    ("E6", (0, 1, 2, 4, 5), (0,) * 6, "20075e4f8da3bc54d836ae00f9c07a32207d04b2d0d9ca8ead74eecfae218791"),
+    ("E6", (0, 1, 2, 3, 5), (0,) * 6, "4a20c11d05a8136ff99f25ba625213f64246dd58869d83b9a64597377648437a"),
+    ("E6", (0, 1, 2, 3, 4), (0,) * 6, "7a50573a99323fcf006d0f9778239555c5d2409d91b4ee2154cfb1ad0c98fa37"),
+    ("E7", (0, 1, 2, 3, 4, 5), (0,) * 7, "abf0498ce5278eb1c91484056a64fa7b0ce6124755540c2ecf83d98a95fca37d"),
+)
+
+
+@pytest.mark.parametrize("label, levi, lam, digest", KOSTANT_WEIGHT_DIGESTS)
+def test_kostant_weights_are_pinned(label, levi, lam, digest):
+    """The Kostant weights, level by level in the walk's order."""
+    datum = build_root_system(label)
+    split = parabolic_split(build_chevalley_algebra(datum), levi)
+    weights = list(kostant_weights(datum, split, lam))
+    assert hashlib.sha256(repr(weights).encode()).hexdigest() == digest
 
 
 class TestHomologyAndEuler:

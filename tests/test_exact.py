@@ -1,5 +1,6 @@
 """Exact scalars, Laurent characters and fraction-free linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.exact import (
+    PACK_LIMIT,
     ExactMatrix,
     LaurentCharacter,
     SparseMatrix,
@@ -16,7 +18,9 @@ from lefschetz.exact import (
     echelon,
     exterior_power_character,
     image,
+    pack,
     rank_and_kernel,
+    unpack,
 )
 
 
@@ -476,6 +480,120 @@ class TestCharacterProductProperties:
         assert a * (b + c) == a * b + a * c
         assert a * LaurentCharacter.one(a.rank) == a
         assert a - a == LaurentCharacter.zero(a.rank)
+
+
+# ---------------------------------------------------------------------------
+# Packed points against tuple keys
+
+# Coordinates near 0, where products cancel, and near +-PACK_LIMIT / 2, where
+# a balanced digit borrows from the next block; the sum of two is below
+# PACK_LIMIT in size, so every product is allowed.
+NEAR = PACK_LIMIT // 2 - 3
+PACKED_COORDINATE = st.integers(-2, 2) | st.integers(-2, 2).map(lambda c: c + NEAR) | (
+    st.integers(-2, 2).map(lambda c: c - NEAR)
+)
+
+
+@st.composite
+def tuple_key_characters(draw):
+    """The rank 0-8 and two tuple-key dicts of signed multiplicities."""
+    rank = draw(st.integers(0, 8))
+    point = st.tuples(*[PACKED_COORDINATE] * rank)
+    terms = st.dictionaries(point, st.integers(-3, 3), max_size=5)
+    return rank, draw(terms), draw(terms)
+
+
+def _nonzero(terms):
+    return {w: m for w, m in terms.items() if m}
+
+
+def _tuple_product(a, b):
+    out = {}
+    for u, mu in a.items():
+        for v, mv in b.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = out.get(w, 0) + mu * mv
+    return _nonzero(out)
+
+
+def _tuple_signed_sum(a, b, sign):
+    out = dict(a)
+    for w, m in b.items():
+        out[w] = out.get(w, 0) + sign * m
+    return _nonzero(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_key_characters())
+def test_packed_characters_match_tuple_keys(operands):
+    """+, -, *, dual, ==, hash and `terms` of packed characters agree with
+    plain tuple-key dicts, at ranks 0-8 and with digits that borrow."""
+    rank, s, t = operands
+    a, b = LaurentCharacter(rank, s), LaurentCharacter(rank, t)
+    assert list(a.terms.items()) == list(_nonzero(s).items())  # insertion order kept
+    expected = {
+        "+": _tuple_signed_sum(s, t, 1),
+        "-": _tuple_signed_sum(s, t, -1),
+        "*": _tuple_product(s, t),
+        "dual": {tuple(-c for c in w): m for w, m in _nonzero(s).items()},
+    }
+    results = {"+": a + b, "-": a - b, "*": a * b, "dual": a.dual()}
+    for op, result in results.items():
+        assert result.terms == expected[op], op
+        reference = LaurentCharacter(rank, expected[op])
+        assert result == reference and hash(result) == hash(reference), op
+    assert (a == b) == (_nonzero(s) == _nonzero(t))
+    assert a.dimension() == sum(s.values())
+    assert a.is_effective() == all(m > 0 for m in _nonzero(s).values())
+
+
+LIMIT_COORDINATE = st.integers(-PACK_LIMIT + 1, PACK_LIMIT - 1) | st.sampled_from(
+    [PACK_LIMIT - 1, -PACK_LIMIT + 1, PACK_LIMIT - 2, -PACK_LIMIT + 2, 0, 1, -1]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LIMIT_COORDINATE, max_size=8), st.lists(LIMIT_COORDINATE, max_size=8))
+def test_pack_is_additive_and_unpacks_near_the_limit(u, v):
+    """unpack(pack(w)) = w for coordinates below PACK_LIMIT in size, and
+    pack(u) + pack(v) = pack(u + v), pack(-u) = -pack(u)."""
+    v = (v + [0] * len(u))[: len(u)]
+    total = [x + y for x, y in zip(u, v)]
+    assert unpack(pack(u), len(u)) == tuple(u)
+    assert pack(u) + pack(v) == pack(total)
+    assert unpack(pack(u) + pack(v), len(u)) == tuple(total)
+    assert pack([-x for x in u]) == -pack(u)
+
+
+class TestPackLimit:
+    @pytest.mark.parametrize(
+        "point", [(PACK_LIMIT,), (-PACK_LIMIT,), (0, PACK_LIMIT, 0), (1, 2, -PACK_LIMIT)]
+    )
+    def test_character_at_the_limit_is_refused(self, point):
+        with pytest.raises(ValueError, match="PACK_LIMIT"):
+            LaurentCharacter(len(point), {point: 1})
+
+    def test_character_below_the_limit_is_kept(self):
+        point = (PACK_LIMIT - 1, -(PACK_LIMIT - 1), 0)
+        ch = LaurentCharacter(3, {point: 2})
+        assert ch.span == PACK_LIMIT - 1
+        assert ch.terms == {point: 2} and ch.dual().terms == {tuple(-c for c in point): 2}
+        assert (ch + ch.dual()).span == PACK_LIMIT - 1  # a sum keeps the larger span
+
+    def test_repeated_squaring_is_refused_at_the_limit(self):
+        """(1 + x^b)^(2^j) with b = (2^55, -2^55, 1): the spans double up to
+        2^61 with the binomial terms, and the next square, whose points would
+        reach 2^62, is refused before it is formed."""
+        beta = (2**55, -(2**55), 1)
+        ch = LaurentCharacter(3, {(0, 0, 0): 1, beta: 1})
+        for j in range(1, 7):
+            ch = ch * ch
+            n = 2**j
+            binomial = {tuple(k * c for c in beta): math.comb(n, k) for k in range(n + 1)}
+            assert ch.span == 2 ** (55 + j) and ch.terms == binomial
+        with pytest.raises(ValueError, match="PACK_LIMIT"):
+            ch * ch
+        assert (ch * 3).span == ch.span and (ch - ch).terms == {}
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 
 from lefschetz.algebra import build_chevalley_algebra
 from lefschetz.cohomology import weight_multiplicities
-from lefschetz.exact import ExactMatrix, InvariantError
+from lefschetz.exact import ExactMatrix, InvariantError, pack, unpack
 from lefschetz.roots import RootDatum, UnsupportedLabelError, WeylElement, build_root_system
 
 
@@ -147,7 +147,8 @@ def reflection_closure(d):
 
 
 def apply(cols, lam):
-    return tuple(sum(x * col[k] for x, col in zip(lam, cols)) for k in range(len(lam)))
+    """w(lam) from the packed columns w(omega_k) of the walk."""
+    return unpack(sum(x * col for x, col in zip(lam, cols)), len(lam))
 
 
 class TestCosetWalk:
@@ -169,7 +170,7 @@ class TestCosetWalk:
                                 root = d.reflect(root, i)
                             inverse_images.append(root)
                         if all(root in positive for root in inverse_images):
-                            kostant.append((len(word), cols))
+                            kostant.append((len(word), tuple(map(pack, cols))))
                     walk = list(d.coset_walk(levi))
                     for lam in itertools.product(range(2), repeat=d.rank):
                         shifted = tuple(c + 1 for c in lam)
