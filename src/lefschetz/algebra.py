@@ -281,7 +281,6 @@ class ParabolicSplit:
     algebra: ChevalleyAlgebra
     levi: frozenset[int]
     a_basis: tuple[tuple[Fraction, ...], ...]  # vectors in coroot coordinates
-    levi_roots: tuple[Weight, ...]  # positive roots of the Levi
     n_roots: tuple[Weight, ...]
 
     @property
@@ -292,11 +291,9 @@ class ParabolicSplit:
         return len(self.a_basis)
 
     def restrict_to_a(self, lam) -> tuple[Fraction, ...]:
-        """Value list of the weight on the a-basis elements."""
-        return tuple(
-            sum((Fraction(b[j]) * lam[j] for j in range(len(lam))), Fraction(0))
-            for b in self.a_basis
-        )
+        """Value list of the weight on the a-basis elements: each a-basis entry
+        is a Fraction, so each value is one."""
+        return tuple(sum(map(mul, b, lam)) for b in self.a_basis)
 
     @cached_property
     def n_weights(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -310,9 +307,7 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
     levi = frozenset(levi)
     if not levi <= set(range(datum.rank)):
         raise ValueError("levi must be a subset of simple-root indices")
-    on, off = datum.partition_roots(levi)
-    levi_roots = tuple(r for r, _ in on)
-    n_roots = tuple(r for r, _ in off)
+    n_roots = tuple(r for r, _ in datum.partition_roots(levi)[1])
     if levi:
         rows = [datum.cartan_matrix[i] for i in sorted(levi)]
         _, kernel = rank_and_kernel(ExactMatrix.from_rows(rows))
@@ -322,7 +317,7 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
             tuple(Fraction(int(i == j)) for j in range(datum.rank))
             for i in range(datum.rank)
         )
-    return ParabolicSplit(alg, levi, a_basis, levi_roots, n_roots)
+    return ParabolicSplit(alg, levi, a_basis, n_roots)
 
 
 # ---------------------------------------------------------------------------

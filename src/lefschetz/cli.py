@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import algebra, cohomology, euler, formula, roots, verify
 from .exact import InvariantError, LaurentCharacter
@@ -138,10 +139,12 @@ def cmd_module(args) -> int:
         ],
     }
     if args.actions:
-        obj["action"] = {}
-        for lab, m in mod.action.items():  # sparse; dense only here, for printing
-            d = m.dense()
-            obj["action"][repr(lab)] = [[str(x) for x in d.row(i)] for i in range(d.rows)]
+        obj["action"] = {
+            repr(lab): [
+                [str(Fraction(col.get(i, 0), m.den)) for col in m.columns] for i in range(m.rows)
+            ]
+            for lab, m in mod.action.items()
+        }
     _emit(obj)
     return EXIT_OK
 
@@ -356,7 +359,7 @@ def main(argv=None) -> int:
         return int(e.code or 0) and EXIT_BAD_INPUT
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, OverflowError) as e:  # json's errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvariantError as e:

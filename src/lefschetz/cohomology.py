@@ -413,17 +413,15 @@ class ChainComplex(CEComplex):
 
 
 def homology_table(
-    split: ParabolicSplit, mod: WeightModule, coh: CohomologyTable | None = None
+    split: ParabolicSplit, mod: WeightModule, coh: CohomologyTable
 ) -> tuple[CohomologyTable, bool]:
     """Homology dimensions plus the duality flag: the graded character of H_p
     must equal that of H^{top-p} shifted by the ∧^top n weight.  `coh` is the
-    cohomology table of (split, mod), computed here if not given."""
+    cohomology table of (split, mod)."""
     chains = ChainComplex(split, mod)
     if not chains.verify_complex():
         raise InvariantError("boundary does not square to zero")
     hom = cohomology_table(chains)
-    if coh is None:
-        coh = cohomology_table(build_ce_complex(split, mod))
     top_weight = (0,) * split.datum.rank
     for r in split.n_roots:
         top_weight = _add(top_weight, r)
@@ -435,13 +433,15 @@ def homology_table(
     return hom, holds
 
 
-def euler_character_check(
-    split: ParabolicSplit, mod: WeightModule, table: CohomologyTable | None = None
-) -> bool:
-    """Σ_q (-1)^q ch H^q = ch V · Π_{α in n} (1 - x^{-α}), exactly.  `table`
-    is the cohomology table of (split, mod), computed here if not given."""
-    n_dual = LaurentCharacter.from_weights(split.datum.rank, map(_neg, split.n_roots))
-    rhs = mod.character() * alternating_exterior_sum(n_dual)
-    if table is None:
-        table = cohomology_table(build_ce_complex(split, mod))
-    return table.euler_character() == rhs
+def euler_identity_check(mod: WeightModule, table: CohomologyTable, roots) -> bool:
+    """ch V · Π_{α in roots} (1 - x^α) = Σ_q (-1)^q ch of the table's degree
+    q, exactly: with the roots of n negated for cohomology, and as they are
+    for homology."""
+    n_char = LaurentCharacter.from_weights(table.split.datum.rank, roots)
+    return table.euler_character() == mod.character() * alternating_exterior_sum(n_char)
+
+
+def euler_character_check(split: ParabolicSplit, mod: WeightModule, table: CohomologyTable) -> bool:
+    """Σ_q (-1)^q ch H^q = ch V · Π_{α in n} (1 - x^{-α}), exactly; `table` is
+    the cohomology table of (split, mod)."""
+    return euler_identity_check(mod, table, map(_neg, split.n_roots))

@@ -2,8 +2,8 @@
 constants of the trace side, and Euler-Poincare trace values.
 
 Transcendental factors are kept symbolic: constants are returned as a sign, a
-power of 2*pi, a power of sqrt(2) and an exact-or-floating rational factor, so
-ratios stay exact whenever the transcendental parts cancel.
+power of 2*pi, a power of sqrt(2) and an exact rational factor, so ratios stay
+exact whenever the transcendental parts cancel.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ class HarishChandraInput:
     n_noncompact_pos_roots: int
     n_pos_roots: int
     nu: int
-    volume_ratio: float | Fraction
+    volume_ratio: Fraction
     weyl_order: int
     weyl_order_complex: int = 0
-    rho_product: float | Fraction = Fraction(0)
+    rho_product: Fraction = Fraction(0)
 
     def __post_init__(self):
         if min(self.n_noncompact_pos_roots, self.n_pos_roots, self.nu) < 0:
@@ -55,21 +55,13 @@ class HarishChandraInput:
 
 
 @dataclass(frozen=True)
-class EllipticClassInput:
-    tau_trace: complex
-    centralizer: HarishChandraInput | None
-    is_elliptic: bool
-    is_regular: bool
-
-
-@dataclass(frozen=True)
 class SymbolicScalar:
     """sign * (2*pi)^two_pi_power * sqrt(2)^sqrt2_power * factor."""
 
     sign: int
     two_pi_power: int
     sqrt2_power: int
-    factor: float | Fraction
+    factor: Fraction
 
     def float_value(self) -> float:
         return (
@@ -80,11 +72,9 @@ class SymbolicScalar:
         )
 
     def inverse(self) -> "SymbolicScalar":
-        factor = self.factor
-        inv = 1 / factor if isinstance(factor, Fraction) else 1.0 / factor
-        return SymbolicScalar(self.sign, -self.two_pi_power, -self.sqrt2_power, inv)
+        return SymbolicScalar(self.sign, -self.two_pi_power, -self.sqrt2_power, 1 / self.factor)
 
-    def scaled(self, c) -> "SymbolicScalar":
+    def scaled(self, c: Fraction) -> "SymbolicScalar":
         return SymbolicScalar(
             self.sign, self.two_pi_power, self.sqrt2_power, self.factor * c
         )
@@ -95,13 +85,12 @@ class SymbolicScalar:
         denominator has more than MAX_FACTOR_BITS bits is refused with a
         ValueError before it is turned into decimal digits."""
         f = self.factor
-        if isinstance(f, Fraction):
-            bits = max(f.numerator.bit_length(), f.denominator.bit_length())
-            if bits > MAX_FACTOR_BITS:
-                raise ValueError(
-                    f"the exact factor has a {bits}-bit part, more than the limit "
-                    f"MAX_FACTOR_BITS = {MAX_FACTOR_BITS}"
-                )
+        bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+        if bits > MAX_FACTOR_BITS:
+            raise ValueError(
+                f"the exact factor has a {bits}-bit part, more than the limit "
+                f"MAX_FACTOR_BITS = {MAX_FACTOR_BITS}"
+            )
         try:
             value = self.float_value()
         except OverflowError:
@@ -110,7 +99,7 @@ class SymbolicScalar:
             "sign": self.sign,
             "two_pi_power": self.two_pi_power,
             "sqrt2_power": self.sqrt2_power,
-            "factor": str(f) if isinstance(f, Fraction) else f,
+            "factor": str(f),
             "float_value": value if math.isfinite(value) else None,
         }
 
@@ -157,7 +146,7 @@ def harish_chandra_constant(inp: HarishChandraInput) -> SymbolicScalar:
 
 
 def chi_gen(
-    inp: HarishChandraInput, covolume, a_covolume=None
+    inp: HarishChandraInput, covolume: Fraction, a_covolume: Fraction | None = None
 ) -> dict:
     """Generic Euler number c^{-1} |W_C| prod(rho, alpha) vol, and optionally
     its quotient by an A-covolume."""
@@ -173,29 +162,8 @@ def chi_gen(
     if a_covolume is not None:
         if a_covolume <= 0:
             raise ValueError("A-covolume must be positive")
-        out["chi_r"] = value.scaled(
-            Fraction(1) / a_covolume
-            if isinstance(a_covolume, (int, Fraction))
-            else 1.0 / a_covolume
-        )
+        out["chi_r"] = value.scaled(1 / a_covolume)
     return out
-
-
-def orbital_integral_value(inp: EllipticClassInput) -> complex:
-    """Closed elliptic value tr tau(g) * c_g^{-1} |W| prod(rho_g, alpha);
-    zero off the elliptic set."""
-    if not inp.is_elliptic:
-        return 0
-    cz = inp.centralizer
-    if cz is None:
-        raise ValueError("elliptic input requires centralizer data")
-    c = harish_chandra_constant(cz)
-    return (
-        inp.tau_trace
-        * c.inverse().float_value()
-        * cz.weyl_order
-        * float(cz.rho_product)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -409,13 +409,6 @@ class SparseMatrix:
             return NotImplemented
         return (self.rows, self.den, self.columns) == (other.rows, other.den, other.columns)
 
-    def dense(self) -> ExactMatrix:
-        out = ExactMatrix(self.rows, self.cols)
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out[i, j] = Fraction(v, self.den)
-        return out
-
     def rank(self, stop: int | None = None) -> int:
         """Rank over Q, as the rank of the transpose: the integer columns are
         eliminated as sparse rows, last column first (on the Koszul blocks

@@ -24,7 +24,7 @@ from functools import wraps
 from itertools import combinations
 
 from .algebra import ParabolicSplit, WeightModule
-from .cohomology import ChainComplex, CohomologyTable, cohomology_table, kostant_weights
+from .cohomology import CohomologyTable, euler_identity_check, kostant_weights
 from .euler import decompose_character
 from .exact import LaurentCharacter, alternating_exterior_sum
 
@@ -204,11 +204,6 @@ class TestFunction:
             )
         )
 
-    def scaled(self, c: float) -> "TestFunction":
-        return TestFunction(
-            tuple((coeff * c, mu, box) for coeff, mu, box in self.pieces)
-        )
-
     def evaluate(self, point) -> float:
         """Value at a point in chamber coordinates (zero outside all boxes)."""
         total = 0.0
@@ -314,30 +309,16 @@ def geometric_term(
     )
 
 
-def am_tilde_membership(a_eigs_on_nbar, m_eigs_on_g) -> tuple[bool, float]:
-    """lambda = min |a on nbar| / max |m on g|; member iff lambda > 1."""
-    if not a_eigs_on_nbar or not m_eigs_on_g:
-        raise ValueError("eigenvalue lists must be nonempty")
-    lam = min(a_eigs_on_nbar) / max(m_eigs_on_g)
-    return lam > 1, lam
-
-
 # ---------------------------------------------------------------------------
 # Character identity of the split restriction
 
 
-def hecht_schmid_check(
-    mod: WeightModule, split: ParabolicSplit, table: CohomologyTable | None = None
-) -> bool:
+def hecht_schmid_check(mod: WeightModule, split: ParabolicSplit, table: CohomologyTable) -> bool:
     """ch(V) * prod_{alpha in n}(1 - x^alpha) = sum_p (-1)^p ch H_p(n, V),
     exactly as Laurent characters on the full Cartan (the chain convention
-    of the homology boundary fixes the orientation).  `table` is the homology
-    table of (split, mod), computed here if not given."""
-    n_char = LaurentCharacter.from_weights(split.datum.rank, split.n_roots)
-    lhs = mod.character() * alternating_exterior_sum(n_char)
-    if table is None:
-        table = cohomology_table(ChainComplex(split, mod))
-    return lhs == table.euler_character()
+    of the homology boundary fixes the orientation); `table` is the homology
+    table of (split, mod)."""
+    return euler_identity_check(mod, table, split.n_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +345,21 @@ def integrate_testfn(phi: TestFunction, lam) -> float:
 
 
 def balance_evaluator(
-    spec: SpectralInput,
-    ledger,
-    phi: TestFunction,
-    split: ParabolicSplit | None = None,
-    n_weights=None,
-    multipliers_per_record=None,
+    spec: SpectralInput, ledger, phi: TestFunction, split: ParabolicSplit
 ) -> tuple[complex, complex, complex]:
     """Global side (spectral sum against the test function), local side
     (ledger sum of c_gamma * phi at the class), and their difference.
 
     The residual is reported, never asserted: real spectral data is external.
     """
-    if n_weights is None:
-        if split is None:
-            raise ValueError("need either explicit n-weights or a split")
-        n_weights = split.n_weights
     table = spec.combined()
     # a^lambda = exp(<lambda, a_log>) = exp(<-lambda, t>) on the boxes
     global_side = math.fsum(
         m * integrate_testfn(phi, [-c for c in lam]) for lam, m in table.terms.items()
     )
-    if multipliers_per_record is None:
-        multipliers_per_record = [None] * len(ledger)
     local_terms = [
-        geometric_term(rec, n_weights, mult) * phi.evaluate(tuple(-x for x in rec.a_log))
-        for rec, mult in zip(ledger, multipliers_per_record, strict=True)
+        geometric_term(rec, split.n_weights) * phi.evaluate(tuple(-x for x in rec.a_log))
+        for rec in ledger
     ]
     local_side = complex(
         math.fsum(z.real for z in local_terms), math.fsum(z.imag for z in local_terms)

@@ -183,14 +183,6 @@ class RootDatum:
     def is_root(self, w: Weight) -> bool:
         return w in self._root_coords or tuple(-c for c in w) in self._root_coords
 
-    def __hash__(self):
-        return hash(self.label)
-
-    def __eq__(self, other):
-        if not isinstance(other, RootDatum):
-            return NotImplemented
-        return self.label == other.label
-
     def __repr__(self):
         return f"RootDatum({self.label})"
 

@@ -125,7 +125,28 @@ def _types(cfg, sweep):
 
 
 def _max_coord(cfg, sweep):
-    return _at_least("max_coord", cfg["max_coord"], 0)
+    """max_coord, refused where a type's largest module or complex exceeds
+    its limit.  The module of highest weight (m, ..., m) is the sweep's
+    largest, as the dimension grows in every dominant coordinate, and its
+    Borel complex, on every positive root, is the largest complex."""
+    top = _at_least("max_coord", cfg["max_coord"], 0)
+    for label in cfg["types"]:
+        datum = sweep.datum(label)
+        lam = (top,) * datum.rank
+        dim = datum.weyl_dimension(lam)
+        if dim > sweep.dim_bound:
+            raise ValueError(
+                f"max_coord = {top}: the {datum.label} module {lam} has dimension {dim}, "
+                f"more than the limit DIMENSION_BOUND (or LEF_MAX_DIM) = {sweep.dim_bound}"
+            )
+        cochains = dim << len(datum.positive_roots)
+        if cochains > cohomology.MAX_COCHAINS:
+            raise ValueError(
+                f"max_coord = {top}: the {datum.label} Borel complex of the module {lam} "
+                f"has {cochains} cochains, more than the limit MAX_COCHAINS = "
+                f"{cohomology.MAX_COCHAINS}"
+            )
+    return top
 
 
 def _max_m(cfg, sweep):

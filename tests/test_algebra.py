@@ -263,13 +263,13 @@ class TestParabolicSplit:
         alg = algebra("A2")
         split = parabolic_split(alg, set())
         assert len(split.n_roots) == 3 and split.a_dim() == 2
-        assert split.levi_roots == ()
+        assert alg.datum.partition_roots(split.levi)[0] == []
 
     def test_a2_one_simple(self):
         alg = algebra("A2")
         split = parabolic_split(alg, {0})
         assert len(split.n_roots) == 2 and split.a_dim() == 1
-        assert len(split.levi_roots) == 1
+        assert len(alg.datum.partition_roots(split.levi)[0]) == 1
 
     def test_full_levi_degenerate(self):
         alg = algebra("A2")
@@ -280,7 +280,7 @@ class TestParabolicSplit:
         alg = algebra("B2")
         for levi in (set(), {0}, {1}, {0, 1}):
             split = parabolic_split(alg, levi)
-            m_dim = len(split.levi) + 2 * len(split.levi_roots)
+            m_dim = len(split.levi) + 2 * len(alg.datum.partition_roots(levi)[0])
             assert split.a_dim() + m_dim + 2 * len(split.n_roots) == alg.dimension
 
     def test_n_closed_under_bracket(self):
@@ -300,6 +300,25 @@ class TestParabolicSplit:
             total = tuple(map(sum, zip(*split.n_roots)))
             assert split.n_weights == tuple(map(split.restrict_to_a, split.n_roots))
             assert tuple(map(sum, zip(*split.n_weights))) == split.restrict_to_a(total)
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "D4"])
+    def test_restrict_to_a_is_the_exact_pairing(self, label):
+        """Each value is the Fraction sum_j b_j lam_j, the pairing of the
+        weight with an a-basis vector, and vanishes on the Levi's simple roots."""
+        alg = algebra(label)
+        datum = alg.datum
+        for r in range(datum.rank + 1):
+            for levi in itertools.combinations(range(datum.rank), r):
+                split = parabolic_split(alg, levi)
+                for lam in itertools.product(range(-1, 3), repeat=datum.rank):
+                    got = split.restrict_to_a(lam)
+                    assert got == tuple(
+                        sum((Fraction(x) * y for x, y in zip(b, lam)), Fraction(0))
+                        for b in split.a_basis
+                    ), (levi, lam)
+                    assert all(type(v) is Fraction for v in got), (levi, lam)
+                for i in levi:
+                    assert split.restrict_to_a(datum.simple_roots[i]) == (0,) * split.a_dim()
 
     def test_bad_levi_rejected(self):
         with pytest.raises(ValueError):
@@ -533,9 +552,9 @@ class TestIntegerModules:
         index = {w: n for n, w in enumerate(basis)}
         assert len(basis) == mod.dimension
         for i, alpha in enumerate(alg.datum.simple_roots):
-            f = mod.action[("f", alpha)].dense()
+            f = mod.action[("f", alpha)]
             for j, w in enumerate(basis):
-                got = {r: f[r, j] for r in range(f.rows) if f[r, j]}
+                got = {r: Fraction(c, f.den) for r, c in f.columns[j].items()}
                 assert got == {index[x]: c for x, c in coords[(i,) + w].items()}, (i, w)
 
 

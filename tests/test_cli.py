@@ -634,6 +634,41 @@ class TestErrorPaths:
         assert code == EXIT_BAD_INPUT and captured.out == ""
         assert f"MAX_COCHAINS = {cohomology.MAX_COCHAINS}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["d2", "--types", "A1,A2", "--max-coord", "30"], "DIMENSION_BOUND (or LEF_MAX_DIM) = "),
+            (["all", "--types", "A1,D4", "--max-coord", "1"], "MAX_COCHAINS = "),
+            (["all", "--types", "E8", "--max-coord", "0"], "MAX_COCHAINS = "),
+        ],
+        ids=["module", "borel-complex", "borel-complex-of-the-trivial-module"],
+    )
+    def test_oversized_sweep_refused_before_any_module(self, capsys, monkeypatch, argv, limit):
+        """The module of highest weight (m, ..., m) is the sweep's largest,
+        and its Borel complex the largest complex: each is measured by the
+        Weyl dimension, before the first check builds a module."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a module was built")
+
+        monkeypatch.setattr(algebra, "highest_weight_module", refuse)
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT and captured.out == ""
+        assert limit in captured.err
+
+    def test_sweep_module_bound_follows_the_env(self, capsys, monkeypatch):
+        """A1 at max_coord m has its largest module of dimension m + 1."""
+        monkeypatch.setenv("LEF_MAX_DIM", "3")
+        code, obj = run(capsys, "verify", "d2", "--types", "A1", "--max-coord", "2")
+        assert code == EXIT_OK and obj["summary"]["failed"] == 0
+        code = main(["verify", "d2", "--types", "A1", "--max-coord", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT and captured.out == ""
+        assert "has dimension 4, more than the limit DIMENSION_BOUND (or LEF_MAX_DIM) = 3" in (
+            captured.err
+        )
+
 
     @pytest.mark.parametrize(
         "argv",

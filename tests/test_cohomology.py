@@ -485,6 +485,12 @@ def test_kostant_weights_are_pinned(label, levi, lam, digest):
     assert hashlib.sha256(repr(weights).encode()).hexdigest() == digest
 
 
+def cochain_table(split, mod):
+    """The cohomology table of (split, mod), which the Euler and duality
+    checks are given."""
+    return cohomology_table(build_ce_complex(split, mod))
+
+
 class TestHomologyAndEuler:
     def test_boundary_squares_to_zero(self):
         _, split, mod = setup("A2", set(), (1, 1))
@@ -492,31 +498,55 @@ class TestHomologyAndEuler:
 
     def test_a1_borel_trivial_homology(self):
         _, split, mod = setup("A1", set(), (0,))
-        table, holds = homology_table(split, mod)
+        table, holds = homology_table(split, mod, cochain_table(split, mod))
         assert table.degrees == [{(0,): 1}, {(2,): 1}]
         assert holds
 
     def test_total_dimensions_match(self):
         _, split, mod = setup("A2", set(), (0, 0))
-        hom, _ = homology_table(split, mod)
-        coh = cohomology_table(build_ce_complex(split, mod))
+        coh = cochain_table(split, mod)
+        hom, _ = homology_table(split, mod, coh)
         assert sum(hom.dimension(q) for q in range(4)) == sum(
             coh.dimension(q) for q in range(4)
         )
 
     def test_degenerate_empty_n(self):
         _, split, mod = setup("A1", {0}, (2,))
-        table, holds = homology_table(split, mod)
+        table, holds = homology_table(split, mod, cochain_table(split, mod))
         assert holds and table.degrees == [mod.weight_multiplicities()]
 
     def test_euler_character_examples(self):
         for lam in ((0,), (2,)):
             _, split, mod = setup("A1", set(), lam)
-            assert euler_character_check(split, mod)
+            assert euler_character_check(split, mod, cochain_table(split, mod))
 
     def test_euler_character_b2(self):
         _, split, mod = setup("B2", {1}, (1, 1))
-        assert euler_character_check(split, mod)
+        assert euler_character_check(split, mod, cochain_table(split, mod))
+
+
+@pytest.mark.parametrize(
+    "label, levi, lam",
+    [("A1", (), (1,)), ("B2", (1,), (1, 1)), ("G2", (), (1, 0))],
+    ids=["A1-borel", "B2-levi-1", "G2-borel"],
+)
+def test_euler_identity_takes_the_sign_of_the_complex(label, levi, lam):
+    """One identity for both complexes: the cohomology table matches the
+    product over the negated n-roots and the homology table the product over
+    the n-roots, and neither matches the other sign or a table with a degree
+    dropped."""
+    _, split, mod = setup(label, levi, lam)
+    negated = [tuple(-c for c in r) for r in split.n_roots]
+    coh = cochain_table(split, mod)
+    hom = cohomology_table(ChainComplex(split, mod))
+    assert cohomology.euler_identity_check(mod, coh, negated)
+    assert cohomology.euler_identity_check(mod, hom, split.n_roots)
+    assert not cohomology.euler_identity_check(mod, coh, split.n_roots)
+    assert not cohomology.euler_identity_check(mod, hom, negated)
+    for table in (coh, hom):
+        truncated = CohomologyTable(table.split, table.degrees[:-1])
+        assert not cohomology.euler_identity_check(mod, truncated, negated)
+        assert not cohomology.euler_identity_check(mod, truncated, split.n_roots)
 
 
 BORELS = {
@@ -888,9 +918,10 @@ def test_homology_invariant_survives_optimize_flag():
             sys.exit("not running under -O")
         alg = build_chevalley_algebra(build_root_system("A2"))
         split, mod = parabolic_split(alg, ()), highest_weight_module(alg, (1, 0))
+        coh = cohomology.cohomology_table(cohomology.build_ce_complex(split, mod))
         cohomology.ChainComplex.verify_complex = lambda self: False
         try:
-            cohomology.homology_table(split, mod)
+            cohomology.homology_table(split, mod, coh)
         except AssertionError as e:
             print("raised:", e)
             sys.exit(0)

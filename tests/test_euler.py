@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lefschetz.cohomology import irreducible_character
 from lefschetz.euler import (
     BettiVector,
-    EllipticClassInput,
     HarishChandraInput,
     SymbolicScalar,
     bundle_betti_transfer,
@@ -21,7 +20,6 @@ from lefschetz.euler import (
     decompose_character,
     euler_poincare_trace,
     harish_chandra_constant,
-    orbital_integral_value,
     trivial_multiplicity,
 )
 from lefschetz.exact import LaurentCharacter
@@ -126,20 +124,6 @@ class TestConstants:
         # transcendental parts are identical; the rational factors differ by 7
         assert (a.two_pi_power, a.sqrt2_power, a.sign) == (b.two_pi_power, b.sqrt2_power, b.sign)
         assert b.factor == 7 * a.factor
-
-
-class TestOrbitalIntegral:
-    def test_non_elliptic_vanishes(self):
-        assert orbital_integral_value(EllipticClassInput(5.0, None, False, True)) == 0
-
-    def test_regular_elliptic_reduces_to_trace(self):
-        cz = HarishChandraInput(0, 0, 0, Fraction(1), 1, 1, Fraction(1))
-        val = orbital_integral_value(EllipticClassInput(3.5, cz, True, True))
-        assert abs(val - 3.5) < 1e-12
-
-    def test_trivial_trace(self):
-        cz = HarishChandraInput(0, 0, 0, Fraction(1), 1, 1, Fraction(1))
-        assert abs(orbital_integral_value(EllipticClassInput(1.0, cz, True, True)) - 1) < 1e-12
 
 
 class TestCharacterDecomposition:
