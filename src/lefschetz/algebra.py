@@ -17,6 +17,7 @@ inverts c K by its blocks (h with h, e_alpha with f_alpha), never as a whole.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +33,18 @@ from .roots import RootDatum
 # in 0.043-0.049 s, B2 (4,4), dim 625, in 0.10-0.11 s and G2 (2,2), dim 729,
 # in 0.26-0.27 s; one build of D4 (1,1,1,1), dim 4096, took 3.1 s.
 DIMENSION_BOUND = 5000
+
+
+def check_dimension(what: str, dim: int) -> None:
+    """Refuse a module of dimension `dim` above the limit: LEF_MAX_DIM if the
+    environment sets it, read at each call, else DIMENSION_BOUND."""
+    bound = int(os.environ.get("LEF_MAX_DIM", DIMENSION_BOUND))
+    if dim > bound:
+        raise ValueError(
+            f"{what} has dimension {dim}, more than the limit DIMENSION_BOUND "
+            f"(or LEF_MAX_DIM) = {bound}"
+        )
+
 
 # basis labels: ("h", i), ("e", root), ("f", root) with root a positive weight tuple
 Label = tuple
@@ -308,15 +321,9 @@ def parabolic_split(alg: ChevalleyAlgebra, levi) -> ParabolicSplit:
     if not levi <= set(range(datum.rank)):
         raise ValueError("levi must be a subset of simple-root indices")
     n_roots = tuple(r for r, _ in datum.partition_roots(levi)[1])
-    if levi:
-        rows = [datum.cartan_matrix[i] for i in sorted(levi)]
-        _, kernel = rank_and_kernel(ExactMatrix.from_rows(rows))
-        a_basis = tuple(tuple(v) for v in kernel)
-    else:
-        a_basis = tuple(
-            tuple(Fraction(int(i == j)) for j in range(datum.rank))
-            for i in range(datum.rank)
-        )
+    rows = [x for i in sorted(levi) for x in datum.cartan_matrix[i]]
+    _, kernel = rank_and_kernel(ExactMatrix(len(levi), datum.rank, rows))
+    a_basis = tuple(map(tuple, kernel))
     return ParabolicSplit(alg, levi, a_basis, n_roots)
 
 
@@ -336,10 +343,7 @@ class WeightModule:
         return LaurentCharacter.from_weights(self.datum.rank, self.basis_weights)
 
     def weight_multiplicities(self) -> dict[Weight, int]:
-        out: dict[Weight, int] = {}
-        for w in self.basis_weights:
-            out[w] = out.get(w, 0) + 1
-        return out
+        return dict(self.character().terms)
 
 
 def _sylvester(num: int, det: int) -> int:
@@ -368,9 +372,7 @@ def _pairing(col: dict[int, int], den: int, gram_row: dict[int, int]) -> int:
     return q
 
 
-def highest_weight_module(
-    alg: ChevalleyAlgebra, lam, dim_bound: int = DIMENSION_BOUND
-) -> WeightModule:
+def highest_weight_module(alg: ChevalleyAlgebra, lam) -> WeightModule:
     """The irreducible module of highest weight lam on a basis of words.
 
     The candidates f_i w, named (i, t) for the basis word w of index t one
@@ -383,10 +385,7 @@ def highest_weight_module(
     datum = alg.datum
     lam = tuple(map(_integral, lam))
     expected_dim = datum.weyl_dimension(lam)  # refuses a non-dominant or wrong-length lam
-    if expected_dim > dim_bound:
-        raise ValueError(
-            f"module dimension {expected_dim} exceeds bound {dim_bound}"
-        )
+    check_dimension(f"the {datum.label} module {lam}", expected_dim)
     rank, simple = datum.rank, datum.simple_roots
     # of each basis word, by level then word: its weight, its Gram row on the
     # basis words of its weight, its e_k columns and, once the next level is

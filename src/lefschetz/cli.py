@@ -4,7 +4,8 @@ verification suite.
 Exit codes: 0 success, 1 verification failure (a broken invariant is
 reported as {"error": ...}), 2 malformed input.  All output is JSON with
 sorted keys; rationals are rendered as "p/q" strings.  The environment
-variable LEF_MAX_DIM overrides the module-dimension cap.
+variable LEF_MAX_DIM overrides the module-dimension cap, as it does for
+library calls (`algebra.check_dimension`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -23,10 +23,6 @@ from .exact import InvariantError, LaurentCharacter
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
-
-
-def _dim_bound() -> int:
-    return int(os.environ.get("LEF_MAX_DIM", algebra.DIMENSION_BOUND))
 
 
 def _first_non_finite(obj, path: str = "") -> str | None:
@@ -104,9 +100,7 @@ def _load_ledger(path: str, split) -> list:
 
 
 def _module(alg, weight: str):
-    return algebra.highest_weight_module(
-        alg, _parse_weight(weight), dim_bound=_dim_bound()
-    )
+    return algebra.highest_weight_module(alg, _parse_weight(weight))
 
 
 def _build(label: str, levi) -> tuple:
@@ -166,9 +160,7 @@ def _tau_character(datum, text: str) -> LaurentCharacter:
     if text in (None, "", "trivial"):
         return LaurentCharacter.one(datum.rank)
     tau = _parse_weight(text)
-    dim = datum.weyl_dimension(tau)
-    if dim > _dim_bound():
-        raise ValueError(f"module dimension {dim} exceeds bound {_dim_bound()}")
+    algebra.check_dimension(f"the {datum.label} module τ = {tau}", datum.weyl_dimension(tau))
     return cohomology.irreducible_character(datum, tau)
 
 
@@ -250,7 +242,7 @@ def cmd_verify(args) -> int:
         "max": args.max,
         "points": args.points,
     }
-    sweep = verify.Sweep(dim_bound=_dim_bound())
+    sweep = verify.Sweep()
     verify.check_parameters(names, cfg, sweep)
     entries = []
     failed = 0

@@ -20,6 +20,7 @@ enters.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -166,11 +167,7 @@ class LaurentCharacter:
 
     @classmethod
     def from_weights(cls, rank: int, weights: Iterable[Sequence[int]]) -> "LaurentCharacter":
-        terms: dict[Weight, int] = {}
-        for w in weights:
-            key = tuple(w)
-            terms[key] = terms.get(key, 0) + 1
-        return cls(rank, terms)
+        return cls(rank, Counter(map(tuple, weights)))
 
     def _check_rank(self, other: "LaurentCharacter") -> None:
         if self.rank != other.rank:
@@ -246,15 +243,6 @@ class LaurentCharacter:
     def dual(self) -> "LaurentCharacter":
         return self._of(self.rank, {-k: m for k, m in self._packed.items()}, self.span)
 
-    def weight_list(self) -> list[Weight]:
-        """Weights repeated with multiplicity; requires an effective character."""
-        if not self.is_effective():
-            raise ValueError("weight_list requires nonnegative multiplicities")
-        out = []
-        for w in sorted(self.terms):
-            out.extend([w] * self.terms[w])
-        return out
-
 
 def exterior_power_character(ch: LaurentCharacter, p: int) -> LaurentCharacter:
     """Character of the p-th exterior power of an effective character.
@@ -265,25 +253,30 @@ def exterior_power_character(ch: LaurentCharacter, p: int) -> LaurentCharacter:
     if p < 0:
         raise ValueError("exterior power degree must be nonnegative")
     if not ch.is_effective():
-        raise ValueError("exterior power requires an effective character")
-    weights = ch.weight_list()
+        raise ValueError("exterior power requires nonnegative multiplicities")
+    top = min(p, ch.dimension())
     # dp[k] = e_k of the weights processed so far
     dp: list[LaurentCharacter | None] = [LaurentCharacter.one(ch.rank)] + [None] * p
-    for w in weights:
+    for w, m in ch.terms.items():
         mono = LaurentCharacter.monomial(w)
-        for k in range(min(p, len(weights)), 0, -1):
-            if dp[k - 1] is not None:
-                term = dp[k - 1] * mono
-                dp[k] = term if dp[k] is None else dp[k] + term
+        for _ in range(m):
+            for k in range(top, 0, -1):
+                if dp[k - 1] is not None:
+                    term = dp[k - 1] * mono
+                    dp[k] = term if dp[k] is None else dp[k] + term
     return dp[p] if dp[p] is not None else LaurentCharacter.zero(ch.rank)
 
 
 def alternating_exterior_sum(ch: LaurentCharacter) -> LaurentCharacter:
-    """Sum_p (-1)^p Lambda^p(ch) = prod_w (1 - x^w) over the weight list."""
-    out = LaurentCharacter.one(ch.rank)
-    one = LaurentCharacter.one(ch.rank)
-    for w in ch.weight_list():
-        out = out * (one - LaurentCharacter.monomial(w))
+    """Sum_p (-1)^p Lambda^p(ch) = prod_w (1 - x^w)^m(w) over the weights w
+    of an effective character, of multiplicity m(w)."""
+    if not ch.is_effective():
+        raise ValueError("alternating exterior sum requires nonnegative multiplicities")
+    out = one = LaurentCharacter.one(ch.rank)
+    for w, m in ch.terms.items():
+        factor = one - LaurentCharacter.monomial(w)
+        for _ in range(m):
+            out = out * factor
     return out
 
 

@@ -123,17 +123,12 @@ class GeodesicClassRecord:
 
 @dataclass(frozen=True)
 class SpectralTermTable:
-    """Finitely supported map from a-weights to integer coefficients."""
+    """Finitely supported map from a-weights (Fraction tuples) to integer coefficients."""
 
     terms: dict[AWeight, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {
-            tuple(Fraction(c) for c in k): int(v)
-            for k, v in self.terms.items()
-            if v
-        }
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {k: v for k, v in self.terms.items() if v})
 
     @_parse
     def from_json_obj(cls, rows: list) -> "SpectralTermTable":

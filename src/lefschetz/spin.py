@@ -128,18 +128,16 @@ def half_spin_characters(
 ) -> tuple[LaurentCharacter, LaurentCharacter]:
     """Characters of S± (weights ½(±μ₁±…±μ_m), even/odd minus signs), doubled."""
     rank = space.rank
-    plus: dict[Weight, int] = {}
-    minus: dict[Weight, int] = {}
+    plus: list[list[int]] = []
+    minus: list[list[int]] = []
     for s in range(1 << space.m):
         w = [0] * rank
         for i, mu in enumerate(space.torus_weights):
             sign = -1 if s & (1 << i) else 1
             for j, c in enumerate(mu):
                 w[j] += sign * c
-        key = tuple(w)
-        target = plus if bin(s).count("1") % 2 == 0 else minus
-        target[key] = target.get(key, 0) + 1
-    return LaurentCharacter(rank, plus), LaurentCharacter(rank, minus)
+        (plus if bin(s).count("1") % 2 == 0 else minus).append(w)
+    return LaurentCharacter.from_weights(rank, plus), LaurentCharacter.from_weights(rank, minus)
 
 
 def _doubled(ch: LaurentCharacter) -> LaurentCharacter:
@@ -149,13 +147,8 @@ def _doubled(ch: LaurentCharacter) -> LaurentCharacter:
 
 def full_space_character(space: PolarizedSpace) -> LaurentCharacter:
     """Character of V = V+ ⊕ V- with weights ±μ_i."""
-    rank = space.rank
-    terms: dict[Weight, int] = {}
-    for mu in space.torus_weights:
-        for sign in (1, -1):
-            key = tuple(sign * c for c in mu)
-            terms[key] = terms.get(key, 0) + 1
-    return LaurentCharacter(rank, terms)
+    weights = [[sign * c for c in mu] for mu in space.torus_weights for sign in (1, -1)]
+    return LaurentCharacter.from_weights(space.rank, weights)
 
 
 def verify_spin_square(space: PolarizedSpace) -> tuple[bool, int]:

@@ -4,11 +4,13 @@
 the property holds on its whole sweep and otherwise a JSON-ready payload that
 reproduces the first counterexample.  `cfg` holds the sweep parameters
 (`types`, `max_coord`, `seed`, `max_m`, `max`, `points`); a check reads only
-its own, and `READS` names the readers that validate them.  A parameter that
-names no root system, would leave nothing to check or exceeds its limit is
-malformed input and raises ValueError, from the check that reads it or, for a
-whole run, from `check_parameters` before the first check.  Verdicts are
-explicit comparisons, never `assert`, so they hold under `python -O`.
+its own, and `READS` names the readers that validate them.  Registering a
+check where it is defined, with its readers (`_check`, `_on_sweep`), fills
+both tables.  A parameter that names no root system, would leave nothing to
+check or exceeds its limit is malformed input and raises ValueError, from the
+check that reads it or, for a whole run, from `check_parameters` before the
+first check.  Verdicts are explicit comparisons, never `assert`, so they hold
+under `python -O`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class Sweep:
     once and kept as long as the object: one verification run.  A complex
     lives only while its table and its d^2 verdict are computed."""
 
-    def __init__(self, dim_bound: int = algebra.DIMENSION_BOUND):
-        self.dim_bound = dim_bound
+    def __init__(self):
         # (kind, label, ...) -> what build() returned for it
         self._built = {}
 
@@ -61,7 +62,7 @@ class Sweep:
         alg = self.chevalley(label)[1]
         return self._once(
             ("module", label, lam),
-            lambda: algebra.highest_weight_module(alg, lam, dim_bound=self.dim_bound),
+            lambda: algebra.highest_weight_module(alg, lam),
         )
 
     def splits(self, label):
@@ -134,11 +135,7 @@ def _max_coord(cfg, sweep):
         datum = sweep.datum(label)
         lam = (top,) * datum.rank
         dim = datum.weyl_dimension(lam)
-        if dim > sweep.dim_bound:
-            raise ValueError(
-                f"max_coord = {top}: the {datum.label} module {lam} has dimension {dim}, "
-                f"more than the limit DIMENSION_BOUND (or LEF_MAX_DIM) = {sweep.dim_bound}"
-            )
+        algebra.check_dimension(f"max_coord = {top}: the {datum.label} module {lam}", dim)
         cochains = dim << len(datum.positive_roots)
         if cochains > cohomology.MAX_COCHAINS:
             raise ValueError(
@@ -173,9 +170,41 @@ def _spaces(cfg, sweep):
 
 
 # ---------------------------------------------------------------------------
-# The properties
+# The properties, each registered with the readers of the parameters it reads
+# (`seed` needs no check)
+
+READS = {}
+CHECKS = {}
 
 
+def _check(name, *reads):
+    """Register the decorated check(cfg, sweep) as `name`, read by `reads`."""
+
+    def register(check):
+        READS[name], CHECKS[name] = reads, check
+        return check
+
+    return register
+
+
+def _on_sweep(name):
+    """Register as `name` the check that holds(sweep, datum, split, lambda,
+    module) on the whole sweep, which reads `types` and `max_coord`."""
+
+    def register(holds):
+        return _check(name, _types, _max_coord)(lambda cfg, sweep: sweep.first_failure(cfg, holds))
+
+    return register
+
+
+def check_parameters(names, cfg, sweep):
+    """Raise ValueError on the first malformed parameter that one of the
+    named checks reads, before any of them runs; the others are ignored."""
+    for read in dict.fromkeys(read for name in names for read in READS[name]):
+        read(cfg, sweep)
+
+
+@_check("jacobi", _types)
 def _jacobi(cfg, sweep):
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every basis triple."""
     for label in cfg["types"]:
@@ -191,38 +220,33 @@ def _jacobi(cfg, sweep):
     return None
 
 
-def _on_sweep(holds):
-    """The check that holds(sweep, datum, split, lambda, module) on the whole
-    sweep."""
-    return lambda cfg, sweep: sweep.first_failure(cfg, holds)
-
-
-@_on_sweep
+@_on_sweep("d2")
 def _d2(sweep, datum, split, lam, mod):
     return sweep.cochains(split, lam, mod)[0]
 
 
-@_on_sweep
+@_on_sweep("kostant")
 def _kostant(sweep, datum, split, lam, mod):
     table = sweep.cochains(split, lam, mod)[1]
     return table == cohomology.kostant_prediction(datum, split, lam)
 
 
-@_on_sweep
+@_on_sweep("euler")
 def _euler(sweep, datum, split, lam, mod):
     return cohomology.euler_character_check(split, mod, sweep.cochains(split, lam, mod)[1])
 
 
-@_on_sweep
+@_on_sweep("duality")
 def _duality(sweep, datum, split, lam, mod):
     return sweep.chains(split, lam, mod)[1]
 
 
-@_on_sweep
+@_on_sweep("hechtschmid")
 def _hechtschmid(sweep, datum, split, lam, mod):
     return formula.hecht_schmid_check(mod, split, sweep.chains(split, lam, mod)[0])
 
 
+@_check("det", _types, _points)
 def _det(cfg, sweep):
     """The determinant identity at `points` seeded rational points per split."""
     points = _points(cfg, sweep)
@@ -243,6 +267,7 @@ def _det(cfg, sweep):
     return None
 
 
+@_check("spin", _max_m)
 def _spin(cfg, sweep):
     """The Clifford relation, and the spin square with global sign (-1)^m."""
     for space in _spaces(cfg, sweep):
@@ -255,6 +280,7 @@ def _spin(cfg, sweep):
     return None
 
 
+@_check("epsilon", _max_m)
 def _epsilon(cfg, sweep):
     """The epsilon twist, matching S+ with the exterior parity of m."""
     for space in _spaces(cfg, sweep):
@@ -265,6 +291,7 @@ def _epsilon(cfg, sweep):
     return None
 
 
+@_check("comb", _max)
 def _comb(cfg, sweep):
     top = _max(cfg, sweep)
     for r, p in itertools.product(range(top + 1), repeat=2):
@@ -273,6 +300,7 @@ def _comb(cfg, sweep):
     return None
 
 
+@_check("chitransfer")
 def _chitransfer(cfg, sweep):
     """chi_r of the rank-r transfer equals chi_0 of the base, for r <= 5, on
     every Betti vector of length <= 3 with entries <= 2, then on 500 seeded
@@ -293,41 +321,3 @@ def _chitransfer(cfg, sweep):
             return {"base": list(base.b), "r": r}
     return None
 
-
-# the parameter readers of each check (`seed` needs no check)
-_SWEEP = (_types, _max_coord)
-READS = {
-    "jacobi": (_types,),
-    "d2": _SWEEP,
-    "kostant": _SWEEP,
-    "euler": _SWEEP,
-    "duality": _SWEEP,
-    "spin": (_max_m,),
-    "epsilon": (_max_m,),
-    "det": (_types, _points),
-    "hechtschmid": _SWEEP,
-    "comb": (_max,),
-    "chitransfer": (),
-}
-
-
-def check_parameters(names, cfg, sweep):
-    """Raise ValueError on the first malformed parameter that one of the
-    named checks reads, before any of them runs; the others are ignored."""
-    for read in dict.fromkeys(read for name in names for read in READS[name]):
-        read(cfg, sweep)
-
-
-CHECKS = {
-    "jacobi": _jacobi,
-    "d2": _d2,
-    "kostant": _kostant,
-    "euler": _euler,
-    "duality": _duality,
-    "spin": _spin,
-    "epsilon": _epsilon,
-    "det": _det,
-    "hechtschmid": _hechtschmid,
-    "comb": _comb,
-    "chitransfer": _chitransfer,
-}

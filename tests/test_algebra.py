@@ -346,9 +346,18 @@ class TestModules:
         with pytest.raises(ValueError):
             highest_weight_module(algebra("A1"), (-1,))
 
-    def test_dimension_bound(self):
+    def test_dimension_bound(self, monkeypatch):
+        monkeypatch.setenv("LEF_MAX_DIM", "100")
         with pytest.raises(ValueError):
-            highest_weight_module(algebra("A2"), (9, 9), dim_bound=100)
+            highest_weight_module(algebra("A2"), (9, 9))
+
+    def test_sweep_module_follows_the_env(self, monkeypatch):
+        """A sweep's modules go through the same limit, read at each build."""
+        monkeypatch.setenv("LEF_MAX_DIM", "3")
+        sweep = Sweep()
+        assert sweep.module("A1", (2,)).dimension == 3
+        with pytest.raises(ValueError, match=r"the A1 module \(3,\) has dimension 4"):
+            sweep.module("A1", (3,))
 
     @pytest.mark.parametrize("lam", [(1.5,), (Fraction(5, 2),), (2.7,)])
     def test_rejects_non_integral_weight(self, lam):

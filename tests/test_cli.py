@@ -398,6 +398,29 @@ class TestErrorPaths:
         code, _ = run(capsys, "spectral", "--type", "A2", "--weight", "0,0", "--tau", "1,1")
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["module", "--type", "A1", "--weight", "3"],
+            ["spectral", "--type", "A2", "--weight", "0,0", "--tau", "1,1"],
+            ["verify", "d2", "--types", "A1", "--max-coord", "3"],
+        ],
+        ids=["module", "tau", "sweep"],
+    )
+    def test_dimension_refusals_name_one_limit(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("LEF_MAX_DIM", "3")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT and captured.out == ""
+        assert captured.err.endswith(
+            "more than the limit DIMENSION_BOUND (or LEF_MAX_DIM) = 3\n"
+        )
+
+    def test_non_integer_dimension_limit_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEF_MAX_DIM", "many")
+        code, obj = run(capsys, "module", "--type", "A1", "--weight", "1")
+        assert code == EXIT_BAD_INPUT and obj is None
+
     def test_verify_det_refuses_too_many_weights(self, capsys):
         """The D5 Borel has 20 n-weights: 2^20 products per point."""
         code = main(["verify", "det", "--types", "D5", "--points", "1"])
@@ -705,6 +728,30 @@ class TestErrorPaths:
     def test_unread_parameters_are_ignored(self, capsys, argv):
         code, obj = run(capsys, "verify", *argv)
         assert code == EXIT_OK and obj["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize("name", sorted(verify.CHECKS))
+    @pytest.mark.parametrize(
+        "param, bad, reader",
+        [
+            ("types", ["Z9"], verify._types),
+            ("max_coord", -1, verify._max_coord),
+            ("max_m", 0, verify._max_m),
+            ("max", -1, verify._max),
+            ("points", 0, verify._points),
+        ],
+        ids=["types", "max-coord", "max-m", "max", "points"],
+    )
+    def test_each_check_reads_what_it_registers(self, name, param, bad, reader):
+        """A check refuses a malformed parameter exactly when the readers it
+        is registered with include that parameter's, so `check_parameters`
+        refuses before a run what the check itself would refuse."""
+        cfg = {"types": ["A1"], "max_coord": 0, "seed": 0, "max_m": 1, "max": 0, "points": 1}
+        cfg[param] = bad
+        if reader in verify.READS[name]:
+            with pytest.raises(ValueError):
+                verify.CHECKS[name](cfg, verify.Sweep())
+        else:
+            assert verify.CHECKS[name](cfg, verify.Sweep()) is None
 
 
 class TestVerify:

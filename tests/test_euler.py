@@ -174,28 +174,30 @@ class TestEulerPoincareTrace:
         tau = LaurentCharacter(1, {(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1})
         assert euler_poincare_trace(defining, LaurentCharacter.zero(1), tau, d) == 0
 
-    def test_dual_method_oracle(self):
-        # the same alternating invariant count through constructed action
-        # matrices: invariants = simultaneous kernel of all generator actions
+    @pytest.mark.parametrize("label, lam", [("A1", (2,)), ("B2", (0, 1))], ids=["A1", "B2"])
+    def test_dual_method_oracle(self, label, lam):
+        # the same alternating invariant count with each trivial multiplicity
+        # read off the Weyl denominator, not by decompose_character: chi times
+        # sum_w (-1)^l(w) x^{w(rho)} has x^rho with coefficient n_0(chi), so
+        # n_0(chi) = sum_w (-1)^l(w) [coefficient of x^{rho - w(rho)} in chi]
         from lefschetz.algebra import build_chevalley_algebra, highest_weight_module
-        from lefschetz.exact import ExactMatrix, rank_and_kernel
         from lefschetz.exact import exterior_power_character
 
-        d = build_root_system("A1")
-        alg = build_chevalley_algebra(d)
-        adj = highest_weight_module(alg, (2,))
-        pi = adj.character()
-        p_char = adj.character()
-        tau = LaurentCharacter.one(1)
+        d = build_root_system(label)
+        mod = highest_weight_module(build_chevalley_algebra(d), lam)
+        pi = p_char = mod.character()
+        tau = LaurentCharacter.one(d.rank)
         greedy = euler_poincare_trace(pi, p_char, tau, d)
 
-        # brute force: decompose each exterior power against constructed
-        # module characters and count trivial summands
+        shifts = [
+            (tuple(r - c for r, c in zip(d.rho, w.act(d.rho))), (-1) ** w.length)
+            for w in d.weyl_group()
+        ]
         brute = 0
         for p in range(p_char.dimension() + 1):
-            term = pi * exterior_power_character(p_char, p)
-            mult = decompose_character(d, term).get((0,), 0)
-            brute += mult if p % 2 == 0 else -mult
+            terms = (pi * exterior_power_character(p_char, p)).terms
+            trivial = sum(sign * terms.get(shift, 0) for shift, sign in shifts)
+            brute += (-1) ** p * trivial
         assert greedy == brute
 
     def test_virtual_linearity(self):
